@@ -91,8 +91,12 @@ def cmd_sample(args) -> int:
 
 def cmd_estimate(args) -> int:
     if args.counts is not None:
-        with open(args.counts, "r", encoding="ascii") as fh:
-            record = json.load(fh)
+        with open(args.counts, "rb") as fh:
+            data = fh.read()
+        try:
+            record = json.loads(data)
+        except ValueError as exc:  # malformed JSON or not UTF-8/16/32 text
+            raise ConfigError(f"{args.counts} is not a JSON counts record: {exc}") from exc
         counts, _ = measurement.counts_from_record(record)
     else:
         missing = [name for name, value in

@@ -100,7 +100,10 @@ def _parse_int(value: str) -> int:
 def parse_grid(value: str) -> tuple[float, ...]:
     cleaned = value.strip().strip("[]")
     parts = [part for chunk in cleaned.split(",") for part in chunk.split()]
-    return tuple(float(part) for part in parts)
+    try:
+        return tuple(float(part) for part in parts)
+    except ValueError as exc:
+        raise ConfigError(f"bad grid value in {value!r}: {exc}") from exc
 
 
 _FIELD_PARSERS = {
@@ -182,19 +185,26 @@ def _run_stream(cfg: SweepConfig, point: int, rep: int, slot: int) -> RandomStre
                         (point * cfg.repetitions + rep) * 8 + slot)
 
 
-def _draw_counts(cfg: SweepConfig, p: float, point: int,
-                 rep: int) -> measurement.OutcomeCounts:
+def _slot_probabilities(cfg: SweepConfig, p: float) -> dict[int, np.ndarray]:
+    """DA,DA outcome probabilities of each sampled state at a grid point, by slot."""
+    def da(rho: np.ndarray) -> np.ndarray:
+        return measurement.outcome_probabilities(rho, measurement.DA_DA).as_array()
+
     if cfg.mixing_mode == DIRECT_STATE:
-        rho = states.family_state(p, cfg.q)
-        return measurement.sample_counts(rho, measurement.DA_DA, cfg.n_shots,
-                                         _run_stream(cfg, point, rep, SLOT_DIRECT))
-    pure = measurement.sample_counts(states.family_state(1.0, cfg.q),
-                                     measurement.DA_DA, cfg.n_shots,
-                                     _run_stream(cfg, point, rep, SLOT_PURE))
-    mixed = measurement.sample_counts(states.dephased_mixture(),
-                                      measurement.DA_DA, cfg.n_shots,
-                                      _run_stream(cfg, point, rep, SLOT_MIX))
-    return measurement.mix_counts(pure, mixed, p,
+        return {SLOT_DIRECT: da(states.family_state(p, cfg.q))}
+    return {SLOT_PURE: da(states.family_state(1.0, cfg.q)),
+            SLOT_MIX: da(states.dephased_mixture())}
+
+
+def _draw_counts(cfg: SweepConfig, p: float, point: int, rep: int,
+                 probs: dict[int, np.ndarray]) -> measurement.OutcomeCounts:
+    def draw(slot: int) -> measurement.OutcomeCounts:
+        return measurement.draw_counts(probs[slot], cfg.n_shots,
+                                       _run_stream(cfg, point, rep, slot))
+
+    if cfg.mixing_mode == DIRECT_STATE:
+        return draw(SLOT_DIRECT)
+    return measurement.mix_counts(draw(SLOT_PURE), draw(SLOT_MIX), p,
                                   _run_stream(cfg, point, rep, SLOT_SELECT))
 
 
@@ -215,8 +225,9 @@ def run_sweep(cfg: SweepConfig) -> list[SweepRow]:
         values: dict[tuple[str, str], list[float]] = {
             (kind, variant): []
             for kind in SWEEP_KINDS for variant in estimation.VARIANTS}
+        probs = _slot_probabilities(cfg, p)
         for rep in range(cfg.repetitions):
-            counts = _draw_counts(cfg, p, point, rep)
+            counts = _draw_counts(cfg, p, point, rep, probs)
             for kind in SWEEP_KINDS:
                 for variant in estimation.VARIANTS:
                     result = estimation.estimate(kind, variant, counts)

@@ -2,9 +2,9 @@
 
 Settings are pairs of single-qubit bases from {HV, DA, RL}; each setting has
 four joint projective outcomes ordered (++, +-, -+, --) where "+" is the
-first basis vector (H, D or R). Sampling is multinomial via inverse CDF on a
-counter-based uniform stream, so a (master_seed, run_index) pair pins every
-count record exactly.
+first basis vector (H, D or R). A count record is one exact multinomial draw
+from a counter-based stream, so its cost does not depend on the shot count and
+a (master_seed, run_index) pair pins every record exactly.
 """
 from __future__ import annotations
 
@@ -65,16 +65,25 @@ class Setting:
 DA_DA = Setting(DA, DA)
 
 
-def setting_projectors(setting: Setting) -> list[np.ndarray]:
-    """Four rank-1 joint projectors of a setting, ordered (++, +-, -+, --)."""
-    ka = basis_kets(setting.basis_a)
-    kb = basis_kets(setting.basis_b)
-    projs = []
-    for a in range(2):
-        for b in range(2):
-            ket = np.kron(ka[a], kb[b])
-            projs.append(np.outer(ket, ket.conj()))
-    return projs
+def _all_projectors() -> dict[Setting, np.ndarray]:
+    kets = np.array([basis_kets(b) for b in BASES])  # (basis, sign, 2)
+    joint = np.einsum("asi,btj->abstij", kets, kets).reshape(3, 3, 4, 4)
+    projs = np.einsum("abxi,abxj->abxij", joint, joint.conj())
+    projs.setflags(write=False)
+    return {Setting(a, b): projs[i, j]
+            for i, a in enumerate(BASES) for j, b in enumerate(BASES)}
+
+
+# all nine settings, built once: every caller shares these read-only arrays
+_PROJECTORS = _all_projectors()
+
+
+def setting_projectors(setting: Setting) -> np.ndarray:
+    """Four rank-1 joint projectors of a setting, ordered (++, +-, -+, --).
+
+    Returned as a read-only (4, 4, 4) array shared by all callers.
+    """
+    return _PROJECTORS[setting]
 
 
 @dataclass
@@ -118,61 +127,48 @@ class OutcomeCounts:
 def outcome_probabilities(rho: np.ndarray, setting: Setting) -> OutcomeProbabilities:
     """p_x = Tr(rho P_x) for the four joint projectors of a setting."""
     rho = states.validate_density_matrix(rho)
-    probs = []
-    for proj in setting_projectors(setting):
-        val = np.trace(rho @ proj).real
-        probs.append(float(np.clip(val, 0.0, 1.0)))
-    total = sum(probs)
+    probs = np.clip(np.einsum("ij,xji->x", rho, setting_projectors(setting)).real,
+                    0.0, 1.0)
+    total = probs.sum()
     if abs(total - 1.0) > 1e-10:
         raise DomainError(f"setting probabilities sum to {total!r}")
-    return OutcomeProbabilities(*probs)
+    return OutcomeProbabilities(*(float(v) for v in probs))
 
 
-def counts_from_outcome_indices(idx: np.ndarray) -> OutcomeCounts:
-    c = np.bincount(idx, minlength=4)
+def draw_counts(probs: np.ndarray, n: int, stream: RandomStream) -> OutcomeCounts:
+    """One exact Multinomial(n, probs) count record; probs is renormalized."""
+    if n < 1:
+        raise DomainError(f"shot count must be >= 1, got {n}")
+    probs = np.asarray(probs, dtype=float)
+    c = stream.multinomial(n, probs / probs.sum())
     return OutcomeCounts(int(c[0]), int(c[1]), int(c[2]), int(c[3]))
-
-
-def _inverse_cdf_sample(probs: np.ndarray, n: int, stream: RandomStream) -> np.ndarray:
-    cum = np.cumsum(probs)
-    cum[-1] = 1.0  # guard round-off so every uniform lands in a bin
-    u = stream.random(n)
-    return np.searchsorted(cum, u, side="right").astype(np.intp)
 
 
 def sample_counts(rho: np.ndarray, setting: Setting, n: int,
                   stream: RandomStream) -> OutcomeCounts:
     """n multinomial shots of a setting on a state."""
-    if n < 1:
-        raise DomainError(f"shot count must be >= 1, got {n}")
-    probs = outcome_probabilities(rho, setting).as_array()
-    return counts_from_outcome_indices(_inverse_cdf_sample(probs, n, stream))
+    return draw_counts(outcome_probabilities(rho, setting).as_array(), n, stream)
 
 
 def mix_counts(counts_pure: OutcomeCounts, counts_mix: OutcomeCounts, p: float,
                stream: RandomStream) -> OutcomeCounts:
     """Post-process two count records into a statistical mixture.
 
-    Each output shot is drawn from the pure record's empirical distribution
-    with probability p, otherwise from the mixed record's; the total is
-    preserved at counts_pure.n. Resampling is shot-by-shot (with replacement)
-    rather than a deterministic split, so the output carries the statistical
-    character of a single mixed-state run.
+    Each output shot comes from the pure record's empirical distribution with
+    probability p, otherwise from the mixed record's, independently and with
+    replacement; the total is preserved at counts_pure.n. Those shots are
+    i.i.d. with law p*f_pure + (1-p)*f_mix, so the whole record is one
+    multinomial draw of that law, with the statistical character of a single
+    mixed-state run.
     """
     if not (0.0 <= p <= 1.0):
         raise DomainError(f"mixing weight out of range: {p!r}")
     n = counts_pure.n
     if n < 1 or counts_mix.n < 1:
         raise DomainError("cannot mix empty count records")
-    cum_pure = np.cumsum(counts_pure.as_array() / counts_pure.n)
-    cum_mix = np.cumsum(counts_mix.as_array() / counts_mix.n)
-    cum_pure[-1] = cum_mix[-1] = 1.0
-    pick_pure = stream.random(n) < p
-    u = stream.random(n)
-    idx = np.where(pick_pure,
-                   np.searchsorted(cum_pure, u, side="right"),
-                   np.searchsorted(cum_mix, u, side="right")).astype(np.intp)
-    return counts_from_outcome_indices(idx)
+    law = (p * counts_pure.as_array() / n
+           + (1.0 - p) * counts_mix.as_array() / counts_mix.n)
+    return draw_counts(law, n, stream)
 
 
 def counts_record(counts: OutcomeCounts, setting: Setting, seed: int) -> dict:
@@ -187,10 +183,22 @@ def counts_record(counts: OutcomeCounts, setting: Setting, seed: int) -> dict:
     }
 
 
+def _record_count(record: dict, label: str) -> int:
+    value = record[f"n_{label}"]
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise DomainError(f"count n_{label}={value!r} is not a number")
+    if not float(value).is_integer():
+        raise DomainError(f"count n_{label}={value!r} is not an integer")
+    return int(value)
+
+
 def counts_from_record(record: dict) -> tuple[OutcomeCounts, Setting]:
+    """Counts and setting of a record; fractional or non-numeric counts are rejected."""
+    if not isinstance(record, dict):
+        raise DomainError(f"counts record must be a JSON object, got {type(record).__name__}")
     try:
-        counts = OutcomeCounts(int(record["n_pp"]), int(record["n_pm"]),
-                               int(record["n_mp"]), int(record["n_mm"]))
+        counts = OutcomeCounts(*(_record_count(record, label)
+                                 for label in OUTCOME_LABELS))
         setting = Setting.from_label(record.get("setting", "DA,DA"))
     except KeyError as exc:
         raise DomainError(f"counts record missing key {exc}") from exc

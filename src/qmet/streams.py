@@ -13,7 +13,7 @@ _MASK64 = (1 << 64) - 1
 
 
 class RandomStream:
-    """Keyed uniform-random source; (master_seed, run_index) fixes the stream."""
+    """Keyed random source; (master_seed, run_index) fixes the stream."""
 
     def __init__(self, master_seed: int, run_index: int = 0):
         self.master_seed = int(master_seed)
@@ -25,6 +25,10 @@ class RandomStream:
     def random(self, n: int) -> np.ndarray:
         """n uniforms on [0, 1)."""
         return self._gen.random(int(n))
+
+    def multinomial(self, n: int, pvals: np.ndarray) -> np.ndarray:
+        """One exact Multinomial(n, pvals) draw; its cost does not grow with n."""
+        return self._gen.multinomial(int(n), pvals)
 
     def spawn(self, run_index: int) -> "RandomStream":
         """Independent stream under the same master seed."""

@@ -282,9 +282,7 @@ class TomoReport:
 
 
 def tomo_report(rho_true: np.ndarray, recon: Reconstruction) -> TomoReport:
-    rho_hat = recon.rho_hat if recon.psd_ok and recon.min_eigenvalue >= -1e-10 \
-        else project_physical(recon.rho_hat)
-    rho_hat = project_physical(rho_hat)
+    rho_hat = project_physical(recon.rho_hat)
     return TomoReport(
         fidelity=states.fidelity(rho_true, rho_hat),
         fit=states.fit_family_params(rho_hat),

@@ -100,6 +100,43 @@ class TestEstimate:
         assert cli.main(["estimate", "--kind", "negativity", "--variant",
                          "optimal", "--counts", "/nonexistent.json"]) == 2
 
+    @pytest.mark.parametrize("payload", [
+        b'{"n_pp": 1, "n_pm": 2,',             # truncated JSON
+        b"not json at all",
+        b'{"setting": "DA,DA", "n_pp": "\xff"}',  # not UTF-8
+        b"\xff\xfe\x00",                        # not text in any JSON encoding
+    ])
+    def test_malformed_counts_file_is_config_error(self, capsys, tmp_path, payload):
+        path = tmp_path / "counts.json"
+        path.write_bytes(payload)
+        code = cli.main(["estimate", "--kind", "negativity", "--variant",
+                         "optimal", "--counts", str(path)])
+        assert code == 2
+        assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("record", [
+        {"n_pp": 1.7, "n_pm": 2, "n_mp": 3, "n_mm": 4},
+        {"n_pp": 1, "n_pm": "2", "n_mp": 3, "n_mm": 4},
+        {"n_pp": 1, "n_pm": 2, "n_mp": True, "n_mm": 4},
+        [1, 2, 3, 4],
+    ])
+    def test_non_integer_counts_are_domain_error(self, capsys, tmp_path, record):
+        path = tmp_path / "counts.json"
+        path.write_text(json.dumps(record))
+        code = cli.main(["estimate", "--kind", "negativity", "--variant",
+                         "optimal", "--counts", str(path)])
+        assert code == 3
+        assert "domain error" in capsys.readouterr().err
+
+    def test_integral_float_counts_accepted(self, capsys, tmp_path):
+        path = tmp_path / "counts.json"
+        path.write_text('{"n_pp": 10.0, "n_pm": 40, "n_mp": 40, "n_mm": 10}')
+        code, out = run_main(capsys, ["estimate", "--kind", "negativity",
+                                      "--variant", "optimal", "--counts",
+                                      str(path)])
+        assert code == 0
+        assert json.loads(out)["n_shots"] == 100
+
 
 class TestSweep:
     def test_print_config_defaults(self, capsys):
@@ -140,6 +177,11 @@ class TestSweep:
 
     def test_missing_config_file(self, capsys):
         assert cli.main(["sweep", "--config", "/nonexistent.cfg"]) == 2
+
+    def test_bad_grid_token_is_config_error(self, capsys):
+        code = cli.main(["sweep", "--p-grid", "0.1,abc", "--print-config"])
+        assert code == 2
+        assert "abc" in capsys.readouterr().err
 
     def test_bad_config_value(self, capsys, tmp_path):
         cfg_file = tmp_path / "bad.cfg"

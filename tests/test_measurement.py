@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -37,6 +39,21 @@ def test_setting_projectors_complete(ba, bb):
         # rank-1 projector: idempotent and unit trace
         assert np.allclose(proj @ proj, proj, atol=1e-14)
         assert abs(np.trace(proj).real - 1.0) <= 1e-14
+
+
+def test_setting_projectors_read_only_and_shared():
+    projs = ms.setting_projectors(ms.DA_DA)
+    with pytest.raises(ValueError):
+        projs[0, 0, 0] = 5.0
+    with pytest.raises(ValueError):
+        projs[1] *= 2.0
+    again = ms.setting_projectors(ms.Setting("DA", "DA"))
+    assert again is projs
+    plus, minus = ms.basis_kets(ms.DA)
+    for proj, (a, b) in zip(again, ((plus, plus), (plus, minus),
+                                    (minus, plus), (minus, minus))):
+        ket = np.kron(a, b)
+        assert np.allclose(proj, np.outer(ket, ket.conj()), atol=1e-15)
 
 
 # --- probabilities ---------------------------------------------------------------
@@ -97,6 +114,19 @@ def test_sample_counts_moments_5_sigma():
         assert abs(f - p) <= 5 * sigma
 
 
+def test_sample_counts_cost_does_not_grow_with_shots():
+    rho = states.family_state(0.6, 0.5)
+    n = 10**9
+    start = time.perf_counter()
+    counts = ms.sample_counts(rho, ms.DA_DA, n, RandomStream(2025, 0))
+    elapsed = time.perf_counter() - start
+    assert counts.n == n
+    assert elapsed < 0.25, f"{elapsed:.3f}s for 1e9 shots"
+    probs = ms.outcome_probabilities(rho, ms.DA_DA).as_array()
+    sigma = np.sqrt(probs * (1 - probs) / n)
+    assert np.all(np.abs(counts.as_array() / n - probs) <= 5 * sigma)
+
+
 def test_sample_counts_degenerate_distribution():
     counts = ms.sample_counts(states.singlet(), ms.Setting("HV", "HV"), 1000,
                               RandomStream(5, 0))
@@ -142,6 +172,25 @@ def test_mix_counts_frozen_half_mix_5_sigma():
     f_pp = out.n_pp / out.n
     sigma = np.sqrt(2.0 * (1 / 8) * (7 / 8) / out.n)
     assert abs(f_pp - 0.125) <= 5 * sigma
+
+
+def test_mix_counts_matches_mixture_multinomial_moments_5_sigma():
+    # output law is Multinomial(n, p*f_pure + (1-p)*f_mix): check the mean
+    # vector and the full covariance n*(diag(f) - f f^T) over many draws
+    pure = ms.OutcomeCounts(0, 600, 400, 0)
+    mix = ms.OutcomeCounts(250, 250, 250, 250)
+    p, n, draws = 0.3, pure.n, 4000
+    law = p * pure.as_array() / n + (1 - p) * mix.as_array() / mix.n
+    stream = RandomStream(271, 0)
+    sample = np.array([ms.mix_counts(pure, mix, p, stream).as_array()
+                       for _ in range(draws)])
+    assert np.all(sample.sum(axis=1) == n)
+    cov = n * (np.diag(law) - np.outer(law, law))
+    mean_se = np.sqrt(np.diag(cov) / draws)
+    assert np.all(np.abs(sample.mean(axis=0) - n * law) <= 5 * mean_se)
+    var = np.diag(cov)
+    cov_se = np.sqrt((np.outer(var, var) + cov**2) / (draws - 1))
+    assert np.all(np.abs(np.cov(sample, rowvar=False) - cov) <= 5 * cov_se)
 
 
 def test_mix_counts_mean_equivalence_with_direct_sampling():
