@@ -1,7 +1,8 @@
 """Command-line surface: states, probabilities, sampling, estimation, sweeps,
 tomography and Fisher-information reports.
 
-Exit codes: 0 success, 2 configuration error, 3 numeric or domain error.
+Exit codes: 0 success, 2 configuration error (including an input file or
+output directory the OS cannot open), 3 numeric or domain error.
 All randomness derives from --seed; the QMET_SEED environment variable is the
 fallback when --seed is omitted, then the built-in default.
 """
@@ -116,7 +117,10 @@ def cmd_sweep(args) -> int:
     file_text = None
     if args.config is not None:
         with open(args.config, "r", encoding="utf-8") as fh:
-            file_text = fh.read()
+            try:
+                file_text = fh.read()
+            except UnicodeDecodeError as exc:
+                raise ConfigError(f"{args.config} is not UTF-8 text: {exc}") from exc
     grid = harness.parse_grid(args.p_grid) if args.p_grid is not None else None
     cfg = harness.build_config(
         file_text,
@@ -254,10 +258,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    # OSError: an input the OS cannot read or an --out-dir it cannot create
+    except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except DomainError as exc:

@@ -209,13 +209,6 @@ def _fit_terms(rho: np.ndarray) -> tuple[float, float, complex, float]:
     return d1, d2, c, k
 
 
-def _best_p(d1: float, d2: float, c: complex, q: float) -> float:
-    # closed-form linear least squares in p at fixed q (denominator is 1/2 exactly)
-    s = np.sqrt(q * (1.0 - q))
-    p = 2.0 * ((d1 - d2) * (q - 0.5) - 2.0 * c.real * s)
-    return float(np.clip(p, 0.0, 1.0))
-
-
 def _objective(d1: float, d2: float, c: complex, k: float, p, q):
     s = np.sqrt(q * (1.0 - q))
     f1 = 0.5 + p * (q - 0.5)
@@ -225,60 +218,35 @@ def _objective(d1: float, d2: float, c: complex, k: float, p, q):
 
 
 def fit_family_params(rho: np.ndarray) -> FamilyFit:
-    """Project a density matrix onto the family by least squares.
+    """Project a density matrix onto the family by least squares, in closed form.
 
-    Coarse 101x101 grid over (p, q), then descent on the profile objective
-    (p re-solved in closed form at each q, golden-section in q) down to
-    parameter changes below 1e-10.
+    With x = p (2q - 1) and y = 2 p sqrt(q (1 - q)), the squared Frobenius
+    distance to rho(p, q) is 1/2 ||(x, y) - (d1 - d2, -2 Re c)||^2 plus a
+    constant, and (p, q) in [0, 1]^2 maps onto the upper half unit disk. The
+    optimum is therefore the Euclidean projection of that target onto the half
+    disk: a point below the axis drops onto the diameter, a point outside the
+    circle is scaled onto the arc. Then p = r = ||(x, y)|| and
+    q = (1 + x / r) / 2.
     """
     rho = validate_density_matrix(rho)
     d1, d2, c, k = _fit_terms(rho)
 
-    grid = np.linspace(0.0, 1.0, 101)
-    pg, qg = np.meshgrid(grid, grid, indexing="ij")
-    vals = _objective(d1, d2, c, k, pg, qg)
-    i, j = np.unravel_index(np.argmin(vals), vals.shape)
-    q_hat = float(grid[j])
-
-    def profile(q: float) -> float:
-        return float(_objective(d1, d2, c, k, _best_p(d1, d2, c, q), q))
-
-    lo = max(0.0, q_hat - 0.015)
-    hi = min(1.0, q_hat + 0.015)
-    # expand the bracket while the minimum sits on an edge
-    for _ in range(80):
-        if profile(lo) < profile(lo + 1e-4) and lo > 0.0:
-            lo = max(0.0, lo - 0.03)
-        elif profile(hi) < profile(hi - 1e-4) and hi < 1.0:
-            hi = min(1.0, hi + 0.03)
-        else:
-            break
-
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    x1 = b - invphi * (b - a)
-    x2 = a + invphi * (b - a)
-    f1v, f2v = profile(x1), profile(x2)
-    while b - a > 1e-12:
-        if f1v < f2v:
-            b, x2, f2v = x2, x1, f1v
-            x1 = b - invphi * (b - a)
-            f1v = profile(x1)
-        else:
-            a, x1, f1v = x1, x2, f2v
-            x2 = a + invphi * (b - a)
-            f2v = profile(x2)
-    candidates = [a, x1, x2, b, lo, hi]
-    q_hat = min(candidates, key=profile)
-    p_hat = _best_p(d1, d2, c, q_hat)
+    x, y = d1 - d2, -2.0 * c.real
+    if y < 0.0:
+        x, y = float(np.clip(x, -1.0, 1.0)), 0.0
+    r = float(np.hypot(x, y))
+    if r > 1.0:
+        x, r = x / r, 1.0
+    p_hat = r
+    q_hat = float(np.clip(0.5 * (1.0 + x / r), 0.0, 1.0)) if r > 0.0 else 0.5
 
     residual = float(np.sqrt(max(0.0, _objective(d1, d2, c, k, p_hat, q_hat))))
     degenerate = p_hat < DEGENERATE_P
     if degenerate:
         q_hat = 0.5
     return FamilyFit(
-        p=float(p_hat),
-        q=float(q_hat),
+        p=p_hat,
+        q=q_hat,
         residual=residual,
         degenerate=degenerate,
         out_of_family=residual > OUT_OF_FAMILY_RESIDUAL,

@@ -6,16 +6,21 @@ reconstructors are provided:
 
 * linear inversion: least squares on the design matrix applied to empirical
   frequencies. Exact on exact data but not guaranteed PSD (flagged).
-* maximum likelihood: rho = T^dag T / Tr(T^dag T) over lower-triangular
-  complex T (16 real parameters, PSD and unit trace by construction),
-  maximizing the multinomial log-likelihood by derivative-free coordinate
-  ascent restarted from the projected linear-inversion state.
+* maximum likelihood: the multiplicative R rho R fixed-point iteration,
+  started from the projected linear-inversion state; PSD and unit trace
+  hold at every step.
+
+The design matrix and projector rows of a settings list are built once and
+shared read-only by every reconstruction.
 """
 from __future__ import annotations
 
+import functools
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -63,21 +68,19 @@ class TomoDataset:
 
 def simulate_tomography(rho: np.ndarray, n_per_setting: int,
                         stream: RandomStream) -> TomoDataset:
-    """Sample every standard setting n_per_setting times, advancing one stream."""
-    settings = standard_settings()
-    rows = []
-    for setting in settings:
-        c = measurement.sample_counts(rho, setting, n_per_setting, stream)
-        rows.append(c.as_array())
-    return TomoDataset(settings, np.array(rows))
+    """Sample every standard setting n_per_setting times, advancing one stream.
+
+    rho is validated once; the nine multinomial draws follow the settings order.
+    """
+    probs = _standard_probabilities(rho)
+    rows = [measurement.draw_counts(row, n_per_setting, stream).as_array()
+            for row in probs]
+    return TomoDataset(standard_settings(), np.array(rows))
 
 
 def exact_dataset(rho: np.ndarray, n_per_setting: float = 1.0) -> TomoDataset:
     """Noiseless limit: probabilities scaled by n injected as fractional counts."""
-    settings = standard_settings()
-    rows = [measurement.outcome_probabilities(rho, s).as_array() * n_per_setting
-            for s in settings]
-    return TomoDataset(settings, np.array(rows))
+    return TomoDataset(standard_settings(), _standard_probabilities(rho) * n_per_setting)
 
 
 def dataset_to_json(dataset: TomoDataset) -> str:
@@ -126,33 +129,66 @@ class Reconstruction:
         }, indent=1)
 
 
-def _design_matrix(settings: list[measurement.Setting]) -> np.ndarray:
-    """(4 * n_settings, 16) map from vec(rho) to outcome probabilities."""
-    rows = []
-    for setting in settings:
-        for proj in measurement.setting_projectors(setting):
-            rows.append(proj.T.ravel())
-    return np.array(rows)
+class _Design(NamedTuple):
+    """Constant (4 * n_settings, 16) matrices of one settings list, read-only.
+
+    Row x of proj_rows is vec(P_x), so w @ proj_rows = vec(sum_x w_x P_x);
+    row x of design is vec(P_x^T), so design @ vec(rho) = Tr(rho P_x);
+    real_design is design applied to the Hermitian basis (real by hermiticity).
+    """
+
+    proj_rows: np.ndarray
+    design: np.ndarray
+    real_design: np.ndarray
 
 
-_HERM_BASIS = []
-for _i in range(4):
-    _m = np.zeros((4, 4), dtype=complex)
-    _m[_i, _i] = 1.0
-    _HERM_BASIS.append(_m)
-for _i in range(4):
-    for _j in range(_i + 1, 4):
-        _m = np.zeros((4, 4), dtype=complex)
-        _m[_i, _j] = _m[_j, _i] = 1.0
-        _HERM_BASIS.append(_m)
-        _m = np.zeros((4, 4), dtype=complex)
-        _m[_i, _j] = -1.0j
-        _m[_j, _i] = 1.0j
-        _HERM_BASIS.append(_m)
+def _hermitian_basis() -> np.ndarray:
+    """(16, 4, 4): E_ii, then E_ij + E_ji and i (E_ji - E_ij) for each i < j."""
+    unit = np.eye(16, dtype=complex).reshape(16, 4, 4)
+    basis = [unit[5 * i] for i in range(4)]
+    for i, j in itertools.combinations(range(4), 2):
+        basis += [unit[4 * i + j] + unit[4 * j + i],
+                  1j * (unit[4 * j + i] - unit[4 * i + j])]
+    return np.array(basis)
+
+
+_HERM_BASIS = _hermitian_basis()
+_HERM_BASIS.setflags(write=False)
+
+
+@functools.lru_cache(maxsize=16)
+def _design(settings: tuple[measurement.Setting, ...]) -> _Design:
+    """Constant matrices of a settings list, built once per distinct tuple."""
+    projs = np.concatenate([measurement.setting_projectors(s) for s in settings])
+    design = projs.transpose(0, 2, 1).reshape(-1, 16)
+    parts = _Design(projs.reshape(-1, 16), design,
+                    (design @ _HERM_BASIS.reshape(16, 16).T).real)
+    for a in parts:
+        a.setflags(write=False)
+    return parts
+
+
+_STANDARD = _design(tuple(standard_settings()))
+
+
+def _standard_probabilities(rho: np.ndarray) -> np.ndarray:
+    """(9, 4) outcome probabilities of the standard settings, from one product."""
+    rho = states.validate_density_matrix(rho)
+    probs = np.clip((_STANDARD.design @ rho.ravel()).real, 0.0, 1.0).reshape(9, 4)
+    totals = probs.sum(axis=1)
+    if np.any(np.abs(totals - 1.0) > 1e-10):
+        raise DomainError(f"setting probabilities sum to {totals!r}")
+    return probs
 
 
 def project_physical(rho: np.ndarray) -> np.ndarray:
-    """Nearest PSD unit-trace state: clip negative eigenvalues, renormalize."""
+    """PSD unit-trace state from a Hermitian estimate, in its eigenbasis.
+
+    Negative eigenvalues are clipped to zero and the rest rescaled to sum to 1.
+    Valid states pass through unchanged. This is not the Frobenius-nearest
+    density matrix, which subtracts one common shift from the spectrum before
+    clipping (Smolin, Gambetta and Smith, PRL 108, 070502 (2012)).
+    """
     rho = matcore.require_hermitian(rho, tol=1e-8)
     eig = matcore.hermitian_eig(rho)
     vals = np.clip(eig.values, 0.0, None)
@@ -168,16 +204,14 @@ def _log_likelihood(counts: np.ndarray, probs: np.ndarray) -> float:
 
 def reconstruct_linear(dataset: TomoDataset) -> Reconstruction:
     """Least-squares inversion of the projector design on empirical frequencies."""
-    design = _design_matrix(dataset.settings)
+    design = _design(tuple(dataset.settings))
     freqs = (dataset.counts / dataset.n_per_setting[:, None]).ravel()
-    basis_vecs = np.array([b.ravel() for b in _HERM_BASIS]).T  # (16, 16)
-    real_design = (design @ basis_vecs).real  # (36, 16) real by hermiticity
-    coeffs, *_ = np.linalg.lstsq(real_design, freqs, rcond=None)
-    rho = sum(c * b for c, b in zip(coeffs, _HERM_BASIS))
+    coeffs, *_ = np.linalg.lstsq(design.real_design, freqs, rcond=None)
+    rho = (coeffs @ _HERM_BASIS.reshape(16, 16)).reshape(4, 4)
     rho = 0.5 * (rho + rho.conj().T)
     rho /= np.trace(rho).real
     min_eig = float(np.min(matcore.hermitian_eig(rho).values))
-    probs = (design @ project_physical(rho).ravel()).real
+    probs = (design.design @ project_physical(rho).ravel()).real
     return Reconstruction(
         method="linear_inversion",
         rho_hat=rho,
@@ -207,10 +241,8 @@ def reconstruct_mle(dataset: TomoDataset, max_sweeps: int = MAX_SWEEPS,
     construction at every step. Converged when a step gains less than ll_tol
     in log-likelihood; flagged otherwise after max_sweeps steps.
     """
-    design = _design_matrix(dataset.settings)
+    design = _design(tuple(dataset.settings))
     counts = dataset.counts.ravel()
-    projectors = np.array([proj for setting in dataset.settings
-                           for proj in measurement.setting_projectors(setting)])
     n_total = counts.sum()
     eye = np.eye(4, dtype=complex)
 
@@ -219,36 +251,41 @@ def reconstruct_mle(dataset: TomoDataset, max_sweeps: int = MAX_SWEEPS,
     # so a rank-deficient start with misaligned support could never leave it
     rho = (1.0 - START_SMOOTHING) * start + START_SMOOTHING * eye / 4.0
 
+    def probabilities(rho: np.ndarray) -> np.ndarray:
+        return np.maximum((design.design @ rho.ravel()).real, PROB_FLOOR)
+
     # Likelihood is tracked relative to the start point as
     # sum n_x log(p_x / p_ref_x) with exact summation. Near the optimum the
     # absolute log-likelihood is ~1e6 where one float ulp exceeds the 1e-10
     # convergence tolerance; the relative form is O(1e2) and resolves it.
-    p_ref = np.clip((design @ rho.ravel()).real, PROB_FLOOR, None)
+    p_ref = probabilities(rho)
     ll_ref = math.fsum(counts * np.log(p_ref))
 
-    def ll(rho: np.ndarray) -> float:
-        probs = (design @ rho.ravel()).real
-        return math.fsum(counts * np.log(np.clip(probs, PROB_FLOOR, None) / p_ref))
+    def ll(probs: np.ndarray) -> float:
+        return math.fsum(counts * np.log(probs / p_ref))
 
-    def stepped(rho: np.ndarray, r: np.ndarray) -> np.ndarray:
+    def stepped(rho: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         cand = r @ rho @ r
         cand = 0.5 * (cand + cand.conj().T)
-        return cand / np.trace(cand).real
+        cand /= cand.trace().real
+        return cand, probabilities(cand)
 
-    f_cur = ll(rho)
+    # probabilities of the current state are carried from the step that
+    # accepted it, so each step evaluates the design product once per candidate
+    probs = p_ref
+    f_cur = ll(probs)
     converged = False
     iterations = 0
     for iterations in range(1, max_sweeps + 1):
-        probs = np.clip((design @ rho.ravel()).real, PROB_FLOOR, None)
-        r = np.tensordot(counts / probs, projectors, axes=1) / n_total
-        cand = stepped(rho, r)
-        f_try = ll(cand)
+        r = ((counts / probs) @ design.proj_rows).reshape(4, 4) / n_total
+        cand, p_try = stepped(rho, r)
+        f_try = ll(p_try)
         if f_try <= f_cur:
             # dilute toward the identity until the step is uphill
             eps = 0.5
             while eps > 1e-6:
-                cand = stepped(rho, (1.0 - eps) * eye + eps * r)
-                f_try = ll(cand)
+                cand, p_try = stepped(rho, (1.0 - eps) * eye + eps * r)
+                f_try = ll(p_try)
                 if f_try > f_cur:
                     break
                 eps *= 0.5
@@ -256,7 +293,7 @@ def reconstruct_mle(dataset: TomoDataset, max_sweeps: int = MAX_SWEEPS,
                 converged = True
                 break
         gain = f_try - f_cur
-        rho, f_cur = cand, f_try
+        rho, probs, f_cur = cand, p_try, f_try
         if gain < ll_tol:
             converged = True
             break

@@ -189,6 +189,34 @@ class TestSweep:
         assert cli.main(["sweep", "--config", str(cfg_file)]) == 2
 
 
+def _counts_is_directory(tmp_path):
+    return ["estimate", "--kind", "negativity", "--variant", "optimal",
+            "--counts", str(tmp_path)]
+
+
+def _out_dir_is_file(tmp_path):
+    path = tmp_path / "taken"
+    path.write_text("not a directory")
+    return ["sweep", "--p-grid", "0.5", "--n-shots", "100", "--reps", "2",
+            "--out-dir", str(path)]
+
+
+def _config_not_utf8(tmp_path):
+    path = tmp_path / "latin1.cfg"
+    path.write_bytes("# r\xe9glage\nn_shots = 100\n".encode("latin-1"))
+    return ["sweep", "--config", str(path), "--print-config"]
+
+
+@pytest.mark.parametrize("build_argv", [
+    _counts_is_directory, _out_dir_is_file, _config_not_utf8])
+def test_unusable_paths_are_config_errors(capsys, tmp_path, build_argv):
+    code = cli.main(build_argv(tmp_path))
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("config error:")
+    assert len(err.strip().splitlines()) == 1
+
+
 class TestTomo:
     def test_reconstruction_report(self, capsys):
         code, out = run_main(capsys, ["tomo", "--p", "0.6", "--q", "0.5",

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from qmet import matcore, states
+from qmet import matcore, states, tomography
 from qmet.errors import DomainError
+from qmet.streams import RandomStream
 
 RNG = np.random.default_rng(41507)
 
@@ -182,6 +183,49 @@ def test_fit_round_trips_on_grid():
             assert fit.residual <= 1e-9
             assert not fit.out_of_family
             assert not fit.degenerate
+
+
+def _grid_min_residual(rho, n=401):
+    """Brute-force oracle: min ||rho - rho(p, q)||_F over an n x n (p, q) grid,
+    with rho(p, q) built from the family definition."""
+    grid = np.linspace(0.0, 1.0, n)
+    deph = np.diag([0.0, 0.5, 0.5, 0.0])
+    best = np.inf
+    for q in grid:
+        psi = np.array([0.0, np.sqrt(q), -np.sqrt(1.0 - q), 0.0])
+        fam = ((1.0 - grid)[:, None, None] * deph
+               + grid[:, None, None] * np.outer(psi, psi))
+        best = min(best, np.sqrt(np.sum(np.abs(rho - fam) ** 2, axis=(1, 2))).min())
+    return best
+
+
+def _noisy_reconstruction(rho, n, stream):
+    ds = tomography.simulate_tomography(rho, n, stream)
+    return tomography.project_physical(tomography.reconstruct_mle(ds).rho_hat)
+
+
+def test_fit_reaches_least_squares_optimum_near_p_zero():
+    # a grid-and-descent fit stopped at p = 0 here (residual 0.009418)
+    rho = _noisy_reconstruction(states.dephased_mixture(), 10_000, RandomStream(3, 66))
+    fit = states.fit_family_params(rho)
+    assert fit.residual <= _grid_min_residual(rho) + 1e-10
+    assert fit.residual < 0.0088
+    assert fit.degenerate and fit.q == 0.5
+
+
+@pytest.mark.parametrize("p,q,seed", [
+    (0.0, 0.5, 1), (0.05, 0.3, 2), (0.6, 0.5, 3), (0.9, 0.85, 4), (1.0, 0.5, 5)])
+def test_fit_residual_no_worse_than_grid_on_noisy_states(p, q, seed):
+    rho = _noisy_reconstruction(states.family_state(p, q), 2000, RandomStream(seed, 7))
+    fit = states.fit_family_params(rho)
+    assert fit.residual <= _grid_min_residual(rho) + 1e-10
+
+
+def test_fit_residual_no_worse_than_grid_off_family():
+    for rho in (np.diag([0.7, 0.1, 0.1, 0.1]).astype(complex),
+                random_density(), random_pure()):
+        fit = states.fit_family_params(rho)
+        assert fit.residual <= _grid_min_residual(rho) + 1e-10
 
 
 def test_fit_degenerate_mixture():

@@ -29,7 +29,7 @@ class TestSettings:
 
     def test_design_spans_hermitian_space(self):
         # rank oracle: numpy SVD-based matrix_rank on the 36x16 design
-        design = tomography._design_matrix(tomography.standard_settings())
+        design = tomography._design(tuple(tomography.standard_settings())).design
         assert np.linalg.matrix_rank(design) == 16
 
 
@@ -40,6 +40,24 @@ class TestDataset:
         b = tomography.simulate_tomography(rho, 500, RandomStream(11, 3))
         np.testing.assert_array_equal(a.counts, b.counts)
         assert np.all(a.n_per_setting == 500)
+
+    def test_simulate_matches_sequential_sample_counts(self):
+        # reference: nine sample_counts calls in settings order on one stream
+        for rho in (states.singlet(), states.family_state(0.37, 0.83)):
+            ds = tomography.simulate_tomography(rho, 1000, RandomStream(13, 4))
+            stream = RandomStream(13, 4)
+            expected = [measurement.sample_counts(rho, s, 1000, stream).as_array()
+                        for s in tomography.standard_settings()]
+            np.testing.assert_array_equal(ds.counts, np.array(expected))
+
+    @pytest.mark.parametrize("rho", [
+        np.diag([0.5, 0.5, 0.5, -0.5]),   # negative eigenvalue
+        np.diag([0.5, 0.5, 0.5, 0.5]),    # trace 2
+        np.triu(np.full((4, 4), 0.25)),   # not Hermitian
+    ])
+    def test_simulate_rejects_non_density_matrix(self, rho):
+        with pytest.raises(DomainError):
+            tomography.simulate_tomography(rho.astype(complex), 100, RandomStream(1))
 
     def test_singlet_hvhv_counts_only_on_cross_outcomes(self):
         ds = tomography.simulate_tomography(states.singlet(), 2000, RandomStream(5))
@@ -168,6 +186,23 @@ class TestMLE:
                 fids.append(states.fidelity(rho, rec.rho_hat))
             means.append(np.mean(fids))
         assert all(b >= a for a, b in zip(means, means[1:]))
+
+    def test_settings_order_does_not_change_the_estimate(self):
+        ds = tomography.simulate_tomography(states.family_state(0.4, 0.3), 2000,
+                                            RandomStream(12))
+        flipped = tomography.TomoDataset(ds.settings[::-1], ds.counts[::-1])
+        a = tomography.reconstruct_mle(ds)
+        b = tomography.reconstruct_mle(flipped)
+        assert trace_distance(a.rho_hat, b.rho_hat) < 1e-6
+        assert abs(a.log_likelihood - b.log_likelihood) < 1e-6
+
+    def test_design_matrices_are_shared_read_only(self):
+        settings = tuple(tomography.standard_settings())
+        parts = tomography._design(settings)
+        assert parts is tomography._design(settings)
+        for matrix in parts:
+            with pytest.raises(ValueError):
+                matrix[0, 0] = 0.0
 
     def test_reconstruction_json_export(self):
         ds = tomography.simulate_tomography(states.singlet(), 500, RandomStream(9))
