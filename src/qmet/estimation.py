@@ -94,9 +94,9 @@ def qcrb_curves(kind: str, value: float) -> float:
     if kind in (states.NEGATIVITY, states.CONCURRENCE):
         return float(1.0 - value * value)
     if kind == states.LOG_NEGATIVITY:
-        return float(-(2.0 ** -value) * (2.0 ** value - 2.0) / LN2 ** 2 + 0.0)
+        return float((2.0 ** -value) * (2.0 - 2.0 ** value) / LN2 ** 2)
     if kind == states.QGD:
-        return float(2.0 * (1.0 - 2.0 * value) * value + 0.0)
+        return float(2.0 * (1.0 - 2.0 * value) * value)
     raise DomainError(f"unknown measure kind {kind!r}")
 
 
@@ -121,115 +121,120 @@ def qcrb_unc(kind: str, value: float) -> float:
     return float(np.sqrt(max(0.0, qcrb_curves(kind, value))))
 
 
-def _clip_to_range(kind: str, value: float) -> float:
+def clip_to_range(kind: str, values):
+    """Estimates projected onto the measure's valid range."""
     lo, hi = _measure_range(kind)
-    return float(np.clip(value, lo, hi))
+    return np.clip(values, lo, hi)
 
 
-def _freqs(counts: measurement.OutcomeCounts) -> tuple[np.ndarray, int]:
-    n = counts.n
-    if n < 1:
+def estimator_values(kind: str, variant: str,
+                     counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Raw estimates and log-floor mask of (..., 4) DA x DA count records.
+
+    Every estimator is a function of the frequencies f = counts / n:
+
+    * non-optimal: v = 1 - 4 f_pp, and L = log2(2 - 4 f_pp);
+    * optimal: the parity combination v = f_pm + f_mp - f_pp - f_mm, and
+      L = log2(1 + v);
+
+    negativity and concurrence read v, discord v^2 / 2. Log arguments that
+    statistical noise pushed to <= 0 floor at LOG_CLAMP and are flagged in the
+    mask. A single record gives 0-d results.
+    """
+    if (kind, variant) not in ESTIMATORS:
+        raise DomainError(f"no estimator for kind={kind!r}, variant={variant!r}")
+    counts = np.asarray(counts)
+    n = counts.sum(axis=-1, keepdims=True)
+    if np.any(n < 1):
         raise DomainError("empty count record")
-    return counts.as_array() / n, n
+    f = counts / n
+    f_pp = f[..., 0]
+    if variant == NONOPTIMAL:
+        v = 1.0 - 4.0 * f_pp
+        log_arg = 2.0 - 4.0 * f_pp
+    else:
+        v = f[..., 1] + f[..., 2] - f_pp - f[..., 3]
+        log_arg = 1.0 + v
+    if kind == states.LOG_NEGATIVITY:
+        floored = log_arg <= 0.0
+        return np.log2(np.where(floored, LOG_CLAMP, log_arg)), floored
+    unfloored = np.zeros(np.shape(v), dtype=bool)
+    if kind == states.QGD:
+        return 0.5 * v * v, unfloored
+    return v, unfloored
 
 
-def _result(kind: str, variant: str, value: float, n: int,
-            clamped: bool, at_value: float | None) -> EstimateResult:
-    value_clamped = _clip_to_range(kind, value)
-    ref = _clip_to_range(kind, at_value) if at_value is not None else value_clamped
+def estimate(kind: str, variant: str, counts: measurement.OutcomeCounts,
+             at_value: float | None = None) -> EstimateResult:
+    """One estimate from one count record; theory curves at at_value if given.
+
+    Without at_value the curves are evaluated at the clamped estimate.
+    """
+    raw, floored = estimator_values(kind, variant, counts.as_array())
+    value = float(raw)
+    value_clamped = float(clip_to_range(kind, value))
+    ref = float(clip_to_range(kind, at_value)) if at_value is not None else value_clamped
     qcrb = qcrb_unc(kind, ref)
     theory = qcrb if variant == OPTIMAL else nonopt_unc_curves(kind, ref)
     return EstimateResult(
         kind=kind,
         variant=variant,
-        value=float(value),
+        value=value,
         value_clamped=value_clamped,
-        n_shots=n,
+        n_shots=counts.n,
         theory_unc_single_shot=theory,
         qcrb_unc_single_shot=qcrb,
-        clamped=bool(clamped or value_clamped != value),
+        clamped=bool(floored or value_clamped != value),
     )
 
 
-# --- negativity -----------------------------------------------------------------
-
-def _neg_nonopt_value(counts: measurement.OutcomeCounts) -> float:
-    f, _ = _freqs(counts)
-    return float(1.0 - 4.0 * f[0])
-
-
-def _neg_opt_value(counts: measurement.OutcomeCounts) -> float:
-    f, _ = _freqs(counts)
-    return float(f[1] + f[2] - f[0] - f[3])
-
+# --- per-estimator entry points --------------------------------------------------
 
 def est_neg_nonopt(counts: measurement.OutcomeCounts,
                    at_value: float | None = None) -> EstimateResult:
     """N estimate 1 - 4 f_pp from the ++ fraction alone."""
-    return _result(states.NEGATIVITY, NONOPTIMAL, _neg_nonopt_value(counts),
-                   counts.n, False, at_value)
+    return estimate(states.NEGATIVITY, NONOPTIMAL, counts, at_value)
 
 
 def est_neg_opt(counts: measurement.OutcomeCounts,
                 at_value: float | None = None) -> EstimateResult:
     """N estimate from the parity combination (f_pm + f_mp) - (f_pp + f_mm)."""
-    return _result(states.NEGATIVITY, OPTIMAL, _neg_opt_value(counts),
-                   counts.n, False, at_value)
-
-
-# --- log-negativity -----------------------------------------------------------------
-
-def _log2_with_floor(arg: float) -> tuple[float, bool]:
-    if arg <= 0.0:
-        return float(np.log2(LOG_CLAMP)), True
-    return float(np.log2(arg)), False
+    return estimate(states.NEGATIVITY, OPTIMAL, counts, at_value)
 
 
 def est_logneg_nonopt(counts: measurement.OutcomeCounts,
                       at_value: float | None = None) -> EstimateResult:
     """L estimate log2(2 - 4 f_pp); non-positive arguments floor at 2^-20."""
-    f, n = _freqs(counts)
-    value, floored = _log2_with_floor(2.0 - 4.0 * f[0])
-    return _result(states.LOG_NEGATIVITY, NONOPTIMAL, value, n, floored, at_value)
+    return estimate(states.LOG_NEGATIVITY, NONOPTIMAL, counts, at_value)
 
 
 def est_logneg_opt(counts: measurement.OutcomeCounts,
                    at_value: float | None = None) -> EstimateResult:
     """L estimate log2(1 + parity combination)."""
-    counts_n = counts.n
-    value, floored = _log2_with_floor(1.0 + _neg_opt_value(counts))
-    return _result(states.LOG_NEGATIVITY, OPTIMAL, value, counts_n, floored, at_value)
+    return estimate(states.LOG_NEGATIVITY, OPTIMAL, counts, at_value)
 
-
-# --- concurrence (relabeled negativity on this family) -------------------------------
 
 def est_conc_nonopt(counts: measurement.OutcomeCounts,
                     at_value: float | None = None) -> EstimateResult:
     """Concurrence estimate; numerically the negativity estimator."""
-    return _result(states.CONCURRENCE, NONOPTIMAL, _neg_nonopt_value(counts),
-                   counts.n, False, at_value)
+    return estimate(states.CONCURRENCE, NONOPTIMAL, counts, at_value)
 
 
 def est_conc_opt(counts: measurement.OutcomeCounts,
                  at_value: float | None = None) -> EstimateResult:
-    return _result(states.CONCURRENCE, OPTIMAL, _neg_opt_value(counts),
-                   counts.n, False, at_value)
+    return estimate(states.CONCURRENCE, OPTIMAL, counts, at_value)
 
-
-# --- geometric discord ----------------------------------------------------------------
 
 def est_qgd_nonopt(counts: measurement.OutcomeCounts,
                    at_value: float | None = None) -> EstimateResult:
     """Q estimate (1 - 4 f_pp)^2 / 2."""
-    v = _neg_nonopt_value(counts)
-    return _result(states.QGD, NONOPTIMAL, 0.5 * v * v, counts.n, False, at_value)
+    return estimate(states.QGD, NONOPTIMAL, counts, at_value)
 
 
 def est_qgd_opt(counts: measurement.OutcomeCounts,
                 at_value: float | None = None) -> EstimateResult:
     """Q estimate (parity combination)^2 / 2."""
-    v = _neg_opt_value(counts)
-    return _result(states.QGD, OPTIMAL, 0.5 * v * v, counts.n, False, at_value)
+    return estimate(states.QGD, OPTIMAL, counts, at_value)
 
 
 ESTIMATORS: dict[tuple[str, str], Callable[..., EstimateResult]] = {
@@ -242,15 +247,6 @@ ESTIMATORS: dict[tuple[str, str], Callable[..., EstimateResult]] = {
     (states.QGD, NONOPTIMAL): est_qgd_nonopt,
     (states.QGD, OPTIMAL): est_qgd_opt,
 }
-
-
-def estimate(kind: str, variant: str, counts: measurement.OutcomeCounts,
-             at_value: float | None = None) -> EstimateResult:
-    try:
-        fn = ESTIMATORS[(kind, variant)]
-    except KeyError:
-        raise DomainError(f"no estimator for kind={kind!r}, variant={variant!r}")
-    return fn(counts, at_value=at_value)
 
 
 # --- measure <-> parameter paths for Fisher information --------------------------------

@@ -10,6 +10,11 @@ reconstructed mixing parameter on the x axis.
 
 All randomness derives from the master seed through counter-based stream
 indices, making sweep outputs byte-identical across runs and platforms.
+Repetition rep of slot s at grid point k reads stream
+(master_seed, (k*M + rep)*8 + s). Each slot's M repetitions are drawn as one
+batch of keyed draws, a (M, 4) count array whose every row is still its own
+(master_seed, run_index) stream, and each estimator acts on that array in one
+expression.
 """
 from __future__ import annotations
 
@@ -51,7 +56,6 @@ class SweepConfig:
     p_grid: tuple[float, ...] = _DEFAULT_GRID
     n_shots: int = 10_000
     repetitions: int = 10
-    variance_reps: int = 1_000
     master_seed: int = 42
     mixing_mode: str = DIRECT_STATE
 
@@ -67,8 +71,6 @@ class SweepConfig:
             raise ConfigError(f"n_shots must be >= 1, got {self.n_shots}")
         if self.repetitions < 2:
             raise ConfigError("repetitions must be >= 2 for a standard deviation")
-        if self.variance_reps < 1:
-            raise ConfigError(f"variance_reps must be >= 1, got {self.variance_reps}")
         if not isinstance(self.master_seed, int):
             raise ConfigError("master_seed must be an integer")
         if self.mixing_mode not in MIXING_MODES:
@@ -84,7 +86,6 @@ class SweepConfig:
             f"p_grid = {grid}\n"
             f"n_shots = {self.n_shots}\n"
             f"repetitions = {self.repetitions}\n"
-            f"variance_reps = {self.variance_reps}\n"
             f"master_seed = {self.master_seed}\n"
             f"mixing_mode = {self.mixing_mode}\n"
         )
@@ -111,7 +112,6 @@ _FIELD_PARSERS = {
     "p_grid": parse_grid,
     "n_shots": _parse_int,
     "repetitions": _parse_int,
-    "variance_reps": _parse_int,
     "master_seed": _parse_int,
     "mixing_mode": str,
 }
@@ -180,32 +180,26 @@ _CLOSED_FORMS = {
 }
 
 
-def _run_stream(cfg: SweepConfig, point: int, rep: int, slot: int) -> RandomStream:
-    return RandomStream(cfg.master_seed,
-                        (point * cfg.repetitions + rep) * 8 + slot)
+def _run_indices(cfg: SweepConfig, point: int, slot: int) -> range:
+    """Stream run indices (point*M + rep)*8 + slot of every repetition."""
+    start = point * cfg.repetitions * 8 + slot
+    return range(start, start + 8 * cfg.repetitions, 8)
 
 
-def _slot_probabilities(cfg: SweepConfig, p: float) -> dict[int, np.ndarray]:
-    """DA,DA outcome probabilities of each sampled state at a grid point, by slot."""
+def _draw_point(cfg: SweepConfig, p: float, point: int) -> np.ndarray:
+    """(M, 4) DA,DA count records of a grid point, one keyed batch per slot."""
+    def draw(slot: int, probs: np.ndarray) -> np.ndarray:
+        return measurement.draw_counts_keyed(probs, cfg.n_shots, cfg.master_seed,
+                                             _run_indices(cfg, point, slot))
+
     def da(rho: np.ndarray) -> np.ndarray:
         return measurement.outcome_probabilities(rho, measurement.DA_DA).as_array()
 
     if cfg.mixing_mode == DIRECT_STATE:
-        return {SLOT_DIRECT: da(states.family_state(p, cfg.q))}
-    return {SLOT_PURE: da(states.family_state(1.0, cfg.q)),
-            SLOT_MIX: da(states.dephased_mixture())}
-
-
-def _draw_counts(cfg: SweepConfig, p: float, point: int, rep: int,
-                 probs: dict[int, np.ndarray]) -> measurement.OutcomeCounts:
-    def draw(slot: int) -> measurement.OutcomeCounts:
-        return measurement.draw_counts(probs[slot], cfg.n_shots,
-                                       _run_stream(cfg, point, rep, slot))
-
-    if cfg.mixing_mode == DIRECT_STATE:
-        return draw(SLOT_DIRECT)
-    return measurement.mix_counts(draw(SLOT_PURE), draw(SLOT_MIX), p,
-                                  _run_stream(cfg, point, rep, SLOT_SELECT))
+        return draw(SLOT_DIRECT, da(states.family_state(p, cfg.q)))
+    pure = draw(SLOT_PURE, da(states.family_state(1.0, cfg.q)))
+    mix = draw(SLOT_MIX, da(states.dephased_mixture()))
+    return draw(SLOT_SELECT, measurement.mixture_law(pure, mix, p))
 
 
 def _fit_p(cfg: SweepConfig, p: float, point: int) -> float:
@@ -222,26 +216,18 @@ def run_sweep(cfg: SweepConfig) -> list[SweepRow]:
     cfg.validate()
     rows = []
     for point, p in enumerate(cfg.p_grid):
-        values: dict[tuple[str, str], list[float]] = {
-            (kind, variant): []
-            for kind in SWEEP_KINDS for variant in estimation.VARIANTS}
-        probs = _slot_probabilities(cfg, p)
-        for rep in range(cfg.repetitions):
-            counts = _draw_counts(cfg, p, point, rep, probs)
-            for kind in SWEEP_KINDS:
-                for variant in estimation.VARIANTS:
-                    result = estimation.estimate(kind, variant, counts)
-                    values[(kind, variant)].append(result.value_clamped)
+        counts = _draw_point(cfg, p, point)
         stats = []
         for kind in SWEEP_KINDS:
             truth = _CLOSED_FORMS[kind](p, cfg.q)
             for variant in estimation.VARIANTS:
-                arr = np.asarray(values[(kind, variant)])
+                raw, _ = estimation.estimator_values(kind, variant, counts)
+                values = estimation.clip_to_range(kind, raw)
                 stats.append(EstimatorStats(
                     kind=kind,
                     variant=variant,
-                    mean=float(arr.mean()),
-                    stddev=float(arr.std(ddof=1)),
+                    mean=float(values.mean()),
+                    stddev=float(values.std(ddof=1)),
                     theory_value=truth,
                     unc_nonopt=float(estimation.nonopt_unc_curves(kind, truth)),
                     unc_qcrb=float(estimation.qcrb_unc(kind, truth)),

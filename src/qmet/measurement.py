@@ -9,10 +9,11 @@ a (master_seed, run_index) pair pins every record exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
-from . import matcore, states
+from . import states, streams
 from .errors import DomainError
 from .streams import RandomStream
 
@@ -135,19 +136,53 @@ def outcome_probabilities(rho: np.ndarray, setting: Setting) -> OutcomeProbabili
     return OutcomeProbabilities(*(float(v) for v in probs))
 
 
-def draw_counts(probs: np.ndarray, n: int, stream: RandomStream) -> OutcomeCounts:
-    """One exact Multinomial(n, probs) count record; probs is renormalized."""
+def _normalised(probs: np.ndarray) -> np.ndarray:
+    """Probability rows (last axis) rescaled to sum to 1."""
+    probs = np.asarray(probs, dtype=float)
+    return probs / probs.sum(axis=-1, keepdims=True)
+
+
+def _require_shots(n: int) -> None:
     if n < 1:
         raise DomainError(f"shot count must be >= 1, got {n}")
-    probs = np.asarray(probs, dtype=float)
-    c = stream.multinomial(n, probs / probs.sum())
+
+
+def draw_counts(probs: np.ndarray, n: int, stream: RandomStream) -> OutcomeCounts:
+    """One exact Multinomial(n, probs) count record; probs is renormalized."""
+    _require_shots(n)
+    c = stream.multinomial(n, _normalised(probs))
     return OutcomeCounts(int(c[0]), int(c[1]), int(c[2]), int(c[3]))
+
+
+def draw_counts_keyed(probs: np.ndarray, n: int, master_seed: int,
+                      run_indices: Iterable[int]) -> np.ndarray:
+    """draw_counts on each keyed stream (master_seed, run_index), as one array.
+
+    probs is one row for every draw or one row per run index; each is
+    renormalized as draw_counts does. Row i of the (k, 4) int result equals
+    draw_counts(probs_i, n, RandomStream(master_seed, run_indices[i])).
+    """
+    _require_shots(n)
+    return streams.keyed_multinomials(master_seed, run_indices, n,
+                                      _normalised(probs))
 
 
 def sample_counts(rho: np.ndarray, setting: Setting, n: int,
                   stream: RandomStream) -> OutcomeCounts:
     """n multinomial shots of a setting on a state."""
     return draw_counts(outcome_probabilities(rho, setting).as_array(), n, stream)
+
+
+def mixture_law(counts_pure: np.ndarray, counts_mix: np.ndarray,
+                p: float) -> np.ndarray:
+    """Per-shot law p*f_pure + (1-p)*f_mix of (..., 4) count records."""
+    if not (0.0 <= p <= 1.0):
+        raise DomainError(f"mixing weight out of range: {p!r}")
+    n_pure = np.sum(counts_pure, axis=-1, keepdims=True)
+    n_mix = np.sum(counts_mix, axis=-1, keepdims=True)
+    if np.any(n_pure < 1) or np.any(n_mix < 1):
+        raise DomainError("cannot mix empty count records")
+    return p * counts_pure / n_pure + (1.0 - p) * counts_mix / n_mix
 
 
 def mix_counts(counts_pure: OutcomeCounts, counts_mix: OutcomeCounts, p: float,
@@ -161,14 +196,8 @@ def mix_counts(counts_pure: OutcomeCounts, counts_mix: OutcomeCounts, p: float,
     multinomial draw of that law, with the statistical character of a single
     mixed-state run.
     """
-    if not (0.0 <= p <= 1.0):
-        raise DomainError(f"mixing weight out of range: {p!r}")
-    n = counts_pure.n
-    if n < 1 or counts_mix.n < 1:
-        raise DomainError("cannot mix empty count records")
-    law = (p * counts_pure.as_array() / n
-           + (1.0 - p) * counts_mix.as_array() / counts_mix.n)
-    return draw_counts(law, n, stream)
+    law = mixture_law(counts_pure.as_array(), counts_mix.as_array(), p)
+    return draw_counts(law, counts_pure.n, stream)
 
 
 def counts_record(counts: OutcomeCounts, setting: Setting, seed: int) -> dict:

@@ -95,11 +95,22 @@ def _sqrt_spectrum(values: np.ndarray, tol: float = 1e-8) -> np.ndarray:
     return np.sqrt(vals)
 
 
+def _pt_trace_norm(rho: np.ndarray) -> float:
+    """||rho^{T_A}||_1 of a validated state."""
+    return matcore.trace_norm(matcore.partial_transpose_a(rho))
+
+
+def _negativity_from_tn(tn: float) -> float:
+    return float(np.clip(tn - 1.0, 0.0, 1.0))
+
+
+def _log_negativity_from_tn(tn: float) -> float:
+    return float(np.log2(np.clip(tn, 1.0, 2.0)))
+
+
 def negativity(rho: np.ndarray) -> float:
     """N(rho) = ||rho^{T_A}||_1 - 1, clamped to [0, 1]."""
-    rho = validate_density_matrix(rho)
-    tn = matcore.trace_norm(matcore.partial_transpose_a(rho))
-    return float(np.clip(tn - 1.0, 0.0, 1.0))
+    return _negativity_from_tn(_pt_trace_norm(validate_density_matrix(rho)))
 
 
 def negativity_closed(p: float, q: float) -> float:
@@ -109,9 +120,7 @@ def negativity_closed(p: float, q: float) -> float:
 
 def log_negativity(rho: np.ndarray) -> float:
     """L(rho) = log2 ||rho^{T_A}||_1, clamped to [0, 1]."""
-    rho = validate_density_matrix(rho)
-    tn = matcore.trace_norm(matcore.partial_transpose_a(rho))
-    return float(np.log2(np.clip(tn, 1.0, 2.0)))
+    return _log_negativity_from_tn(_pt_trace_norm(validate_density_matrix(rho)))
 
 
 def log_negativity_closed(p: float, q: float) -> float:
@@ -126,7 +135,11 @@ def concurrence(rho: np.ndarray) -> float:
     R = sqrt(sqrt(rho) rho~ sqrt(rho)) with the spin-flipped
     rho~ = (sy x sy) rho* (sy x sy).
     """
-    rho = validate_density_matrix(rho)
+    return _concurrence(validate_density_matrix(rho))
+
+
+def _concurrence(rho: np.ndarray) -> float:
+    """Concurrence of a validated state."""
     yy = matcore.kron(matcore.SIGMA_Y, matcore.SIGMA_Y)
     flipped = yy @ rho.conj() @ yy
     root = matcore.psd_sqrt(rho)
@@ -147,7 +160,10 @@ def qgd(rho: np.ndarray) -> float:
     Valid on (and near) the state family this package studies; it is not a
     general-state geometric-discord formula.
     """
-    n = negativity(rho)
+    return _qgd_from_negativity(negativity(rho))
+
+
+def _qgd_from_negativity(n: float) -> float:
     return float(0.5 * n * n)
 
 
@@ -158,12 +174,16 @@ def qgd_closed(p: float, q: float) -> float:
 
 
 def measures(rho: np.ndarray) -> dict[str, float]:
-    """All four measure values of a state."""
+    """All four measure values of a state, from one validation and one
+    partial-transpose trace norm."""
+    rho = validate_density_matrix(rho)
+    tn = _pt_trace_norm(rho)
+    n = _negativity_from_tn(tn)
     return {
-        NEGATIVITY: negativity(rho),
-        LOG_NEGATIVITY: log_negativity(rho),
-        CONCURRENCE: concurrence(rho),
-        QGD: qgd(rho),
+        NEGATIVITY: n,
+        LOG_NEGATIVITY: _log_negativity_from_tn(tn),
+        CONCURRENCE: _concurrence(rho),
+        QGD: _qgd_from_negativity(n),
     }
 
 

@@ -188,6 +188,15 @@ class TestSweep:
         cfg_file.write_text("mixing_mode = Sideways\n")
         assert cli.main(["sweep", "--config", str(cfg_file)]) == 2
 
+    def test_removed_variance_reps_key_is_config_error(self, capsys, tmp_path):
+        cfg_file = tmp_path / "old.cfg"
+        cfg_file.write_text("n_shots = 600\nvariance_reps = 1000\n")
+        code = cli.main(["sweep", "--config", str(cfg_file), "--print-config"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "unknown key 'variance_reps'" in captured.err
+        assert captured.out == ""
+
 
 def _counts_is_directory(tmp_path):
     return ["estimate", "--kind", "negativity", "--variant", "optimal",

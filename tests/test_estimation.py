@@ -158,6 +158,80 @@ def test_estimators_unbiased_small_monte_carlo():
         assert abs(v.mean() - truth[kind]) <= 5 * se + 2e-3, (kind, variant)
 
 
+# --- array kernel against the per-record estimator ---------------------------------
+
+def _kernel_records() -> np.ndarray:
+    sampled = np.concatenate([
+        RNG.multinomial(n, RNG.dirichlet(np.ones(4)), size=40)
+        for n in (1, 2, 7, 100, 10_000)])
+    edges = np.array([
+        [500, 0, 0, 0],   # all ++: log floor, and clamping at both ends
+        [0, 500, 500, 0],
+        [250, 250, 250, 250],
+        [0, 0, 0, 9],
+        [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1],  # n = 1
+    ])
+    return np.concatenate([sampled, edges])
+
+
+def _reference_estimate(kind, variant, record) -> tuple[float, bool]:
+    """Raw estimate and log-floor flag of one record, in plain float arithmetic."""
+    n = sum(record)
+    f = [c / n for c in record]
+    v = 1.0 - 4.0 * f[0] if variant == est.NONOPTIMAL else f[1] + f[2] - f[0] - f[3]
+    if kind == states.LOG_NEGATIVITY:
+        arg = 2.0 - 4.0 * f[0] if variant == est.NONOPTIMAL else 1.0 + v
+        if arg <= 0.0:
+            return float(np.log2(est.LOG_CLAMP)), True
+        return float(np.log2(arg)), False
+    if kind == states.QGD:
+        return 0.5 * v * v, False
+    return v, False
+
+
+@pytest.mark.parametrize("kind,variant", list(est.ESTIMATORS))
+def test_array_kernel_matches_estimate_bitwise(kind, variant):
+    records = _kernel_records()
+    raw, floored = est.estimator_values(kind, variant, records)
+    value_clamped = est.clip_to_range(kind, raw)
+    clamped = floored | (value_clamped != raw)
+    reference = [_reference_estimate(kind, variant, r.tolist()) for r in records]
+    assert raw.tobytes() == np.array([value for value, _ in reference]).tobytes()
+    assert floored.tolist() == [flag for _, flag in reference]
+    scalar = [est.estimate(kind, variant, counts(*map(int, r))) for r in records]
+    assert raw.tobytes() == np.array([r.value for r in scalar]).tobytes()
+    assert value_clamped.tobytes() == np.array(
+        [r.value_clamped for r in scalar]).tobytes()
+    assert clamped.tolist() == [r.clamped for r in scalar]
+
+
+def test_array_kernel_edge_records():
+    floor = float(np.log2(est.LOG_CLAMP))
+    all_pp = np.array([[500, 0, 0, 0]])
+    for variant in est.VARIANTS:
+        raw, floored = est.estimator_values(states.LOG_NEGATIVITY, variant, all_pp)
+        assert raw[0] == floor and floored[0]
+    raw, _ = est.estimator_values(states.NEGATIVITY, est.NONOPTIMAL, all_pp)
+    assert raw[0] == -3.0 and est.clip_to_range(states.NEGATIVITY, raw)[0] == 0.0
+    raw, _ = est.estimator_values(states.QGD, est.NONOPTIMAL, all_pp)
+    assert raw[0] == 4.5 and est.clip_to_range(states.QGD, raw)[0] == 0.5
+
+
+def test_array_kernel_keeps_leading_axes_and_rejects_bad_input():
+    records = _kernel_records()[:24]
+    flat, flat_floor = est.estimator_values(states.QGD, est.OPTIMAL, records)
+    cube, cube_floor = est.estimator_values(states.QGD, est.OPTIMAL,
+                                            records.reshape(2, 3, 4, 4))
+    assert cube.shape == (2, 3, 4)
+    assert cube.tobytes() == flat.tobytes()
+    assert cube_floor.shape == (2, 3, 4) and not cube_floor.any()
+    with pytest.raises(DomainError):
+        est.estimator_values(states.NEGATIVITY, est.OPTIMAL, np.array([[1, 1, 1, 1],
+                                                                       [0, 0, 0, 0]]))
+    with pytest.raises(DomainError):
+        est.estimator_values("entropy", est.OPTIMAL, records)
+
+
 # --- Fisher information -----------------------------------------------------------
 
 def test_qfi_negativity_path_frozen_point():

@@ -4,8 +4,9 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from qmet import estimation, harness, states
+from qmet import estimation, harness, measurement, states, tomography
 from qmet.errors import ConfigError
+from qmet.streams import RandomStream
 
 
 def small_config(**kw) -> harness.SweepConfig:
@@ -32,7 +33,7 @@ class TestConfig:
         assert cfg.p_grid == tuple(round(0.1 * k, 10) for k in range(11))
         assert cfg.n_shots == 10_000
         assert cfg.repetitions == 10
-        assert cfg.variance_reps == 1_000
+        assert not hasattr(cfg, "variance_reps")
         assert cfg.master_seed == 42
         assert cfg.mixing_mode == harness.DIRECT_STATE
 
@@ -67,7 +68,7 @@ class TestConfig:
         dict(p_grid=(0.0, 1.2)),
         dict(n_shots=0),
         dict(repetitions=1),
-        dict(variance_reps=0),
+        dict(variance_reps=1_000),  # removed knob: now an unknown key
         dict(mixing_mode="Bogus"),
     ])
     def test_validate_rejects(self, kw):
@@ -134,6 +135,50 @@ class TestRunSweep:
         for row_d, row_m in zip(rows, mixed):
             for st_d, st_m in zip(row_d.stats, row_m.stats):
                 assert abs(st_d.mean - st_m.mean) < 0.1
+
+
+def _reference_csv(cfg: harness.SweepConfig) -> str:
+    """The sweep CSV built record by record from the public per-record API."""
+    def stream(point: int, rep: int, slot: int) -> RandomStream:
+        return RandomStream(cfg.master_seed, (point * cfg.repetitions + rep) * 8 + slot)
+
+    def sample(rho, s: RandomStream) -> measurement.OutcomeCounts:
+        return measurement.sample_counts(rho, measurement.DA_DA, cfg.n_shots, s)
+
+    rows = []
+    for point, p in enumerate(cfg.p_grid):
+        values = {(k, v): [] for k in harness.SWEEP_KINDS for v in estimation.VARIANTS}
+        for rep in range(cfg.repetitions):
+            if cfg.mixing_mode == harness.DIRECT_STATE:
+                record = sample(states.family_state(p, cfg.q), stream(point, rep, 0))
+            else:
+                pure = sample(states.family_state(1.0, cfg.q), stream(point, rep, 1))
+                mix = sample(states.dephased_mixture(), stream(point, rep, 2))
+                record = measurement.mix_counts(pure, mix, p, stream(point, rep, 3))
+            for kind, variant in values:
+                values[(kind, variant)].append(
+                    estimation.estimate(kind, variant, record).value_clamped)
+        stats = []
+        for (kind, variant), vals in values.items():
+            truth = harness._CLOSED_FORMS[kind](p, cfg.q)
+            vals = np.asarray(vals)
+            stats.append(harness.EstimatorStats(
+                kind, variant, float(vals.mean()), float(vals.std(ddof=1)), truth,
+                estimation.nonopt_unc_curves(kind, truth),
+                estimation.qcrb_unc(kind, truth)))
+        dataset = tomography.simulate_tomography(
+            states.family_state(p, cfg.q), cfg.n_shots,
+            RandomStream(cfg.master_seed, harness.TOMO_FLAG | point))
+        rho_hat = tomography.project_physical(tomography.reconstruct_mle(dataset).rho_hat)
+        rows.append(harness.SweepRow(float(p), states.fit_family_params(rho_hat).p, stats))
+    return harness.csv_text(rows, cfg)
+
+
+@pytest.mark.parametrize("mode", harness.MIXING_MODES)
+def test_batched_sweep_matches_per_record_reference(mode):
+    cfg = small_config(p_grid=(0.0, 0.35, 1.0), n_shots=150, repetitions=7,
+                       master_seed=-4, mixing_mode=mode, q=0.3)
+    assert harness.csv_text(harness.run_sweep(cfg), cfg) == _reference_csv(cfg)
 
 
 class TestEmission:

@@ -219,6 +219,49 @@ def test_mix_counts_rejects_bad_inputs():
         ms.mix_counts(pure, pure, 1.5, RandomStream(1, 0))
 
 
+# --- keyed batches ---------------------------------------------------------------------
+
+def test_draw_counts_keyed_rows_match_draw_counts():
+    # one unnormalized law row for every draw, as the sweep passes it
+    probs = ms.outcome_probabilities(states.family_state(0.7, 0.3), ms.DA_DA).as_array()
+    probs = probs * (1.0 + 3e-12)
+    indices = [(4 * 9 + rep) * 8 for rep in range(9)]
+    rows = ms.draw_counts_keyed(probs, 300, 5, indices)
+    assert rows.shape == (9, 4)
+    for row, index in zip(rows, indices):
+        expected = ms.draw_counts(probs, 300, RandomStream(5, index))
+        assert tuple(row) == expected.as_tuple()
+
+
+def test_keyed_mixture_batch_matches_mix_counts():
+    # the PostProcessMix path: pure and mix batches, then one select draw per
+    # record with its own law row
+    n, p = 400, 0.35
+    pure_probs = ms.outcome_probabilities(states.singlet(), ms.DA_DA).as_array()
+    mix_probs = ms.outcome_probabilities(states.dephased_mixture(), ms.DA_DA).as_array()
+    reps = range(12)
+    pure = ms.draw_counts_keyed(pure_probs, n, 8, [4 * r + 1 for r in reps])
+    mix = ms.draw_counts_keyed(mix_probs, n, 8, [4 * r + 2 for r in reps])
+    law = ms.mixture_law(pure, mix, p)
+    mixed = ms.draw_counts_keyed(law, n, 8, [4 * r + 3 for r in reps])
+    for r in reps:
+        cp = ms.draw_counts(pure_probs, n, RandomStream(8, 4 * r + 1))
+        cm = ms.draw_counts(mix_probs, n, RandomStream(8, 4 * r + 2))
+        assert tuple(pure[r]) == cp.as_tuple() and tuple(mix[r]) == cm.as_tuple()
+        expected = ms.mix_counts(cp, cm, p, RandomStream(8, 4 * r + 3))
+        assert tuple(mixed[r]) == expected.as_tuple()
+
+
+def test_keyed_batch_rejects_bad_inputs():
+    with pytest.raises(DomainError):
+        ms.draw_counts_keyed(np.full(4, 0.25), 0, 1, [0, 1])
+    pure = np.array([[0, 5, 5, 0], [1, 1, 1, 1]])
+    with pytest.raises(DomainError):
+        ms.mixture_law(pure, np.array([[1, 1, 1, 1], [0, 0, 0, 0]]), 0.5)
+    with pytest.raises(DomainError):
+        ms.mixture_law(pure, pure, -0.1)
+
+
 # --- serialization --------------------------------------------------------------------
 
 def test_counts_record_round_trip():

@@ -124,6 +124,44 @@ def test_concurrence_against_scipy_oracle():
         assert abs(states.concurrence(rho) - oracle) <= 1e-8
 
 
+def _measure_inputs():
+    family = [states.family_state(p, q)
+              for p, q in ((0.0, 0.5), (0.6, 0.3), (1.0, 0.5), (0.25, 0.9))]
+    reference = [states.singlet(), states.dephased_mixture(), random_density(),
+                 random_pure()]
+    noisy = [_noisy_reconstruction(states.family_state(p, 0.5), 2000,
+                                   RandomStream(seed, 3))
+             for p, seed in ((0.6, 1), (0.0, 2), (1.0, 3))]
+    return family + reference + noisy
+
+
+def test_measures_equal_the_single_measure_functions_bitwise():
+    for rho in _measure_inputs():
+        single = {
+            states.NEGATIVITY: states.negativity(rho),
+            states.LOG_NEGATIVITY: states.log_negativity(rho),
+            states.CONCURRENCE: states.concurrence(rho),
+            states.QGD: states.qgd(rho),
+        }
+        assert ({k: v.hex() for k, v in states.measures(rho).items()}
+                == {k: v.hex() for k, v in single.items()})
+
+
+def test_measures_validates_once_and_shares_the_trace_norm(monkeypatch):
+    calls = []
+    original = matcore.hermitian_eig
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(matcore, "hermitian_eig", counted)
+    for rho in _measure_inputs():
+        calls.clear()
+        states.measures(rho)
+        assert len(calls) <= 5
+
+
 # --- fidelity ---------------------------------------------------------------------
 
 def test_fidelity_frozen_singlet_vs_mixture():

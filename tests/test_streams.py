@@ -1,0 +1,57 @@
+import numpy as np
+import pytest
+
+from qmet import streams
+from qmet.streams import RandomStream
+
+RNG = np.random.default_rng(52177)
+
+# run indices spanning the sweep layout, the tomography flag bit and the top
+# of the 64-bit key word
+RUN_INDICES = [0, 1, 7, 8, 4003, 1 << 62, (1 << 62) | 5, 1 << 63,
+               (1 << 63) + 12345, (1 << 64) - 1]
+
+
+@pytest.mark.parametrize("seed", [42, 0, -3, (1 << 64) + 9])
+def test_keyed_multinomials_one_law_row(seed):
+    pvals = np.array([0.1, 0.2, 0.3, 0.4])
+    rows = streams.keyed_multinomials(seed, RUN_INDICES, 1000, pvals)
+    assert rows.shape == (len(RUN_INDICES), 4)
+    for row, index in zip(rows, RUN_INDICES):
+        expected = RandomStream(seed, index).multinomial(1000, pvals)
+        np.testing.assert_array_equal(row, expected)
+
+
+@pytest.mark.parametrize("seed", [7, -1])
+def test_keyed_multinomials_law_per_row(seed):
+    pvals = RNG.dirichlet(np.ones(4), size=len(RUN_INDICES))
+    rows = streams.keyed_multinomials(seed, RUN_INDICES, 250, pvals)
+    for row, law, index in zip(rows, pvals, RUN_INDICES):
+        expected = RandomStream(seed, index).multinomial(250, law)
+        np.testing.assert_array_equal(row, expected)
+
+
+def test_keyed_multinomials_accepts_a_range_and_large_n():
+    pvals = np.array([0.25, 0.25, 0.5, 0.0])
+    indices = range(3, 3 + 8 * 50, 8)
+    rows = streams.keyed_multinomials(11, indices, 10**9, pvals)
+    assert np.all(rows.sum(axis=1) == 10**9)
+    assert np.all(rows[:, 3] == 0)
+    for row, index in zip(rows, indices):
+        np.testing.assert_array_equal(
+            row, RandomStream(11, index).multinomial(10**9, pvals))
+
+
+def test_keyed_multinomials_empty_batch():
+    rows = streams.keyed_multinomials(1, [], 10, np.full(4, 0.25))
+    assert rows.shape == (0, 4)
+
+
+def test_stream_key_is_the_shared_keying_rule():
+    keys = streams.philox_keys(-3, [5, 1 << 63])
+    assert keys.dtype == np.uint64
+    np.testing.assert_array_equal(
+        keys, [[(1 << 64) - 3, 5], [(1 << 64) - 3, 1 << 63]])
+    a = RandomStream(-3, 1 << 63).random(4)
+    b = np.random.Generator(np.random.Philox(key=keys[1])).random(4)
+    np.testing.assert_array_equal(a, b)
