@@ -277,7 +277,8 @@ _KIND_TITLES = {
 
 
 def _polyline(xs, ys, sx, sy, style: str) -> str:
-    pts = " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in zip(xs, ys))
+    # sx and sy map whole arrays with the same per-element arithmetic
+    pts = " ".join(map("%.2f,%.2f".__mod__, zip(sx(xs).tolist(), sy(ys).tolist())))
     return f'<polyline fill="none" {style} points="{pts}"/>'
 
 

@@ -6,9 +6,12 @@ reconstructors are provided:
 
 * linear inversion: least squares on the design matrix applied to empirical
   frequencies. Exact on exact data but not guaranteed PSD (flagged).
-* maximum likelihood: the multiplicative R rho R fixed-point iteration,
-  started from the projected linear-inversion state; PSD and unit trace
-  hold at every step.
+* maximum likelihood: the multiplicative R rho R fixed-point iteration run on
+  a square-root factor a of the state (rho = a a^dag), accelerated by squared
+  extrapolation (SQUAREM) and started from the projected linear-inversion
+  state. Every iterate is a congruence a a^dag, so PSD and unit trace hold at
+  every step; a cycle that is not uphill falls back to the R step diluted
+  toward the identity. One reported iteration is one SQUAREM cycle.
 
 The design matrix and projector rows of a settings list are built once and
 shared read-only by every reconstruction.
@@ -202,16 +205,22 @@ def _log_likelihood(counts: np.ndarray, probs: np.ndarray) -> float:
     return float(np.sum(counts.ravel() * np.log(np.clip(probs, PROB_FLOOR, None))))
 
 
-def reconstruct_linear(dataset: TomoDataset) -> Reconstruction:
-    """Least-squares inversion of the projector design on empirical frequencies."""
+def _linear_inversion(dataset: TomoDataset) -> np.ndarray:
+    """Hermitian unit-trace least-squares estimate; not necessarily PSD."""
     design = _design(tuple(dataset.settings))
     freqs = (dataset.counts / dataset.n_per_setting[:, None]).ravel()
     coeffs, *_ = np.linalg.lstsq(design.real_design, freqs, rcond=None)
     rho = (coeffs @ _HERM_BASIS.reshape(16, 16)).reshape(4, 4)
     rho = 0.5 * (rho + rho.conj().T)
     rho /= np.trace(rho).real
+    return rho
+
+
+def reconstruct_linear(dataset: TomoDataset) -> Reconstruction:
+    """Least-squares inversion of the projector design on empirical frequencies."""
+    rho = _linear_inversion(dataset)
     min_eig = float(np.min(matcore.hermitian_eig(rho).values))
-    probs = (design.design @ project_physical(rho).ravel()).real
+    probs = (_design(tuple(dataset.settings)).design @ project_physical(rho).ravel()).real
     return Reconstruction(
         method="linear_inversion",
         rho_hat=rho,
@@ -231,72 +240,108 @@ START_SMOOTHING = 1e-3
 
 def reconstruct_mle(dataset: TomoDataset, max_sweeps: int = MAX_SWEEPS,
                     ll_tol: float = LL_TOL) -> Reconstruction:
-    """Maximum-likelihood state by monotone multiplicative fixed-point ascent.
+    """Maximum-likelihood state by SQUAREM-accelerated R rho R ascent.
 
-    Starting from the (projected, slightly smoothed) linear-inversion state,
-    iterate rho <- R rho R / Tr(...) with R = (1/N) sum_x (n_x / p_x) P_x,
-    whose fixed points are the stationary points of the multinomial
-    log-likelihood. A step that fails to increase the likelihood is diluted
-    toward the identity until it does. PSD and unit trace hold by
-    construction at every step. Converged when a step gains less than ll_tol
-    in log-likelihood; flagged otherwise after max_sweeps steps.
+    The state is carried as a factor a with rho = a a^dag and Tr(a a^dag) = 1.
+    With R = sum_x (n_x / p_x) P_x, the map F(a) = R a / ||R a||_F is the
+    R rho R / Tr(...) fixed-point update, whose fixed points are the
+    stationary points of the multinomial log-likelihood. The start is the
+    linear-inversion state clipped to its PSD part and smoothed toward I/4.
+
+    One iteration is one SQUAREM cycle (Varadhan and Roland, Scand. J. Stat.
+    35, 335 (2008)): a1 = F(a), a2 = F(a1), r = a1 - a, v = a2 - a1 - r and
+    alpha = -||r|| / ||v||. When alpha < -1 the extrapolated factor
+    x = a - 2 alpha r + alpha^2 v is normalised and F(x) replaces a2 if its
+    likelihood is higher. Every candidate is a congruence x x^dag, so PSD
+    and unit trace hold by construction. If neither candidate beats the
+    current likelihood, the cycle takes the diluted step
+    ((1 - eps) I + eps R / N) a, normalised, with eps halving from 0.5
+    (Rehacek et al., PRA 75, 042108 (2007)); if no eps > 1e-6 is uphill the
+    fit has converged. Converged when an accepted cycle gains less than
+    ll_tol in log-likelihood; flagged otherwise after max_sweeps cycles.
+    ``iterations`` counts cycles, each of two or three evaluations of F.
     """
     design = _design(tuple(dataset.settings))
     counts = dataset.counts.ravel()
     n_total = counts.sum()
-    eye = np.eye(4, dtype=complex)
 
-    start = project_physical(reconstruct_linear(dataset).rho_hat)
+    # the clipped spectrum sums to at least 1: the estimate has unit trace
+    eig = matcore.hermitian_eig(_linear_inversion(dataset))
+    vals = np.clip(eig.values, 0.0, None)
     # full-rank start: the multiplicative update cannot grow the rank,
     # so a rank-deficient start with misaligned support could never leave it
-    rho = (1.0 - START_SMOOTHING) * start + START_SMOOTHING * eye / 4.0
+    a = eig.vectors * np.sqrt((1.0 - START_SMOOTHING) * vals / vals.sum()
+                              + START_SMOOTHING / 4.0)
+    del eig, vals
 
-    def probabilities(rho: np.ndarray) -> np.ndarray:
-        return np.maximum((design.design @ rho.ravel()).real, PROB_FLOOR)
+    def probabilities(a: np.ndarray) -> np.ndarray:
+        return np.maximum((design.design @ (a @ a.conj().T).ravel()).real, PROB_FLOOR)
+
+    def r_times(a: np.ndarray, probs: np.ndarray) -> np.ndarray:
+        return ((counts / probs) @ design.proj_rows).reshape(4, 4) @ a
+
+    def normalised(b: np.ndarray) -> np.ndarray:
+        return b / math.sqrt(np.vdot(b, b).real)
 
     # Likelihood is tracked relative to the start point as
-    # sum n_x log(p_x / p_ref_x) with exact summation. Near the optimum the
-    # absolute log-likelihood is ~1e6 where one float ulp exceeds the 1e-10
+    # sum n_x log(p_x / p_ref_x). Near the optimum the absolute
+    # log-likelihood is ~1e6, where one float ulp exceeds the 1e-10
     # convergence tolerance; the relative form is O(1e2) and resolves it.
-    p_ref = probabilities(rho)
+    p_ref = probabilities(a)
     ll_ref = math.fsum(counts * np.log(p_ref))
 
     def ll(probs: np.ndarray) -> float:
-        return math.fsum(counts * np.log(probs / p_ref))
+        return float(counts @ np.log(probs / p_ref))
 
-    def stepped(rho: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        cand = r @ rho @ r
-        cand = 0.5 * (cand + cand.conj().T)
-        cand /= cand.trace().real
-        return cand, probabilities(cand)
-
-    # probabilities of the current state are carried from the step that
-    # accepted it, so each step evaluates the design product once per candidate
-    probs = p_ref
-    f_cur = ll(probs)
+    # R a of the current factor is carried across cycles
+    f_cur = 0.0
+    ra = r_times(a, p_ref)
     converged = False
     iterations = 0
     for iterations in range(1, max_sweeps + 1):
-        r = ((counts / probs) @ design.proj_rows).reshape(4, 4) / n_total
-        cand, p_try = stepped(rho, r)
-        f_try = ll(p_try)
-        if f_try <= f_cur:
+        a1 = normalised(ra)
+        p1 = probabilities(a1)
+        a2 = normalised(r_times(a1, p1))
+        p2 = probabilities(a2)
+        best, p_best, f_best = a2, p2, ll(p2)
+        r = a1 - a
+        v = a2 - a1 - r
+        norm_r = math.sqrt(np.vdot(r, r).real)
+        norm_v = math.sqrt(np.vdot(v, v).real)
+        if 0.0 < norm_v < norm_r:
+            alpha = -norm_r / norm_v
+            x = normalised(a - 2.0 * alpha * r + alpha * alpha * v)
+            ax = normalised(r_times(x, probabilities(x)))
+            p_ax = probabilities(ax)
+            f_ax = ll(p_ax)
+            if f_ax > f_best:
+                best, p_best, f_best = ax, p_ax, f_ax
+            del x, ax, p_ax
+        # temporaries are dropped as soon as they are dead: a reconstruction's
+        # live arrays set the peak memory of a tomography run
+        del a1, p1, a2, p2, r, v
+        if f_best <= f_cur:
             # dilute toward the identity until the step is uphill
             eps = 0.5
             while eps > 1e-6:
-                cand, p_try = stepped(rho, (1.0 - eps) * eye + eps * r)
-                f_try = ll(p_try)
-                if f_try > f_cur:
+                best = normalised((1.0 - eps) * a + (eps / n_total) * ra)
+                p_best = probabilities(best)
+                f_best = ll(p_best)
+                if f_best > f_cur:
                     break
                 eps *= 0.5
             else:
                 converged = True
                 break
-        gain = f_try - f_cur
-        rho, probs, f_cur = cand, p_try, f_try
+        gain = f_best - f_cur
+        a, f_cur = best, f_best
         if gain < ll_tol:
             converged = True
             break
+        ra = r_times(a, p_best)
+    rho = a @ a.conj().T
+    rho = 0.5 * (rho + rho.conj().T)
+    rho /= rho.trace().real
     return Reconstruction(
         method="mle",
         rho_hat=rho,
