@@ -8,7 +8,6 @@ sweep harness reproduce the full estimation pipeline end to end.
 """
 from .errors import ConfigError, DomainError
 from .estimation import (
-    ESTIMATORS,
     NONOPTIMAL,
     OPTIMAL,
     VARIANTS,
@@ -80,7 +79,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ConfigError", "DomainError",
-    "ESTIMATORS", "NONOPTIMAL", "OPTIMAL", "VARIANTS",
+    "NONOPTIMAL", "OPTIMAL", "VARIANTS",
     "EstimateResult", "FisherReport",
     "cfi_numeric", "estimate", "measure_path",
     "nonopt_unc_curves", "qcrb_curves", "qcrb_unc", "qfi_numeric",

@@ -108,7 +108,7 @@ def cmd_estimate(args) -> int:
         rho = states.family_state(args.p, args.q)
         counts = measurement.sample_counts(rho, measurement.DA_DA, args.n,
                                            RandomStream(seed))
-    result = estimation.estimate(args.kind, args.variant, counts)
+    result = estimation.estimate(args.kind, args.variant, counts, q=args.q)
     _print(result.to_record())
     return 0
 
@@ -164,6 +164,7 @@ def cmd_tomo(args) -> int:
 
 
 def cmd_fisher(args) -> int:
+    qcrb_closed = estimation.qcrb_curves(args.path, args.theta, args.q)
     curve = estimation.measure_path(args.path, args.q)
     povm = measurement.setting_projectors(measurement.DA_DA)
     report = estimation.qfi_numeric(curve, args.theta, povm=povm)
@@ -172,7 +173,7 @@ def cmd_fisher(args) -> int:
         "qfi": report.qfi,
         "cfi": report.cfi,
         "qcrb_numeric": report.qcrb,
-        "qcrb_closed": estimation.qcrb_curves(args.path, args.theta),
+        "qcrb_closed": qcrb_closed,
         "cfi_over_qfi": report.cfi / report.qfi if report.qfi > 0 else float("nan"),
     })
     return 0

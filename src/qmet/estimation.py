@@ -5,11 +5,13 @@ All estimators act on the four joint-count record of a single DA x DA setting
 
 * non-optimal: built from the ++ outcome alone, single-shot uncertainty
   sqrt(3 - 2N - N^2) in negativity units;
-* optimal: the parity combination (+-) + (-+) - (++) - (--), whose single-shot
-  variance 1 - N^2 saturates the quantum Cramer-Rao bound for this family.
+* optimal: the parity combination (+-) + (-+) - (++) - (--), with single-shot
+  variance 1 - N^2 at every q. That saturates the quantum Cramer-Rao bound
+  QCRB_N(q) = 4q(1-q) - N^2 at q = 1/2 only; off q = 1/2 the bound is lower.
 
-Log-measure and discord estimators are exact transforms of these, and their
-uncertainty curves are the corresponding exact delta-method images.
+Every measure is a function of N (states.MEASURES). Log-measure and discord
+estimators are exact transforms of these, and each uncertainty curve is the
+N-scale curve times |dfrom_n(N)|, its exact delta-method image.
 
 Uncertainty convention: curves return the single-shot value; the standard
 error of an n-shot estimate is curve / sqrt(n). Both appear on results.
@@ -29,8 +31,6 @@ OPTIMAL = "optimal"
 VARIANTS = (NONOPTIMAL, OPTIMAL)
 
 LOG_CLAMP = 2.0 ** -20  # floor for log arguments that statistical noise pushed to <= 0
-
-LN2 = float(np.log(2.0))
 
 
 @dataclass
@@ -79,52 +79,68 @@ class EstimateResult:
 
 # --- theory curves -----------------------------------------------------------
 
-def _measure_range(kind: str) -> tuple[float, float]:
-    try:
-        return states.MEASURE_RANGE[kind]
-    except KeyError:
+def _row(kind: str) -> states.Measure:
+    if kind not in states.MEASURES:
         raise DomainError(f"unknown measure kind {kind!r}")
+    return states.MEASURES[kind]
 
 
-def qcrb_curves(kind: str, value: float) -> float:
-    """Single-shot quantum Cramer-Rao variance bound at a measure value."""
-    lo, hi = _measure_range(kind)
-    if not (lo <= value <= hi):
-        raise DomainError(f"{kind} value {value!r} outside [{lo}, {hi}]")
-    if kind in (states.NEGATIVITY, states.CONCURRENCE):
-        return float(1.0 - value * value)
-    if kind == states.LOG_NEGATIVITY:
-        return float((2.0 ** -value) * (2.0 - 2.0 ** value) / LN2 ** 2)
-    if kind == states.QGD:
-        return float(2.0 * (1.0 - 2.0 * value) * value)
-    raise DomainError(f"unknown measure kind {kind!r}")
+def _reach(q: float) -> float:
+    """2 sqrt(q (1 - q)): the largest negativity the family reaches at q."""
+    if not 0.0 <= q <= 1.0:
+        raise DomainError(f"q must lie in [0, 1], got {q!r}")
+    return states.negativity_closed(1.0, q)
 
 
-def nonopt_unc_curves(kind: str, value: float) -> float:
-    """Single-shot uncertainty of the non-optimal estimator at a measure value."""
-    lo, hi = _measure_range(kind)
-    if not (lo <= value <= hi):
-        raise DomainError(f"{kind} value {value!r} outside [{lo}, {hi}]")
-    if kind in (states.NEGATIVITY, states.CONCURRENCE):
-        return float(np.sqrt(3.0 - 2.0 * value - value * value))
-    if kind == states.LOG_NEGATIVITY:
-        arg = -(4.0 ** -value) * (4.0 ** value - 4.0)
-        return float(np.sqrt(max(0.0, arg)) / LN2)
-    if kind == states.QGD:
-        arg = -2.0 * value * (2.0 * value + 2.0 * np.sqrt(2.0) * np.sqrt(value) - 3.0)
-        return float(np.sqrt(max(0.0, arg)))
-    raise DomainError(f"unknown measure kind {kind!r}")
+def _to_n(kind: str, value, q: float = 0.5):
+    """N of measure values inside the kind's range and within reach at q, and
+    the delta-method scale |dfrom_n(N)| that carries N-scale curves to them."""
+    row, value = _row(kind), np.asarray(value)
+    lo, hi = row.range
+    if not (lo <= value.min() and value.max() <= hi):
+        raise DomainError(f"{kind} value {value} outside [{lo}, {hi}]")
+    top = row.from_n(_reach(q))
+    if value.max() > top * (1.0 + 1e-12):  # from_n may round an ulp apart on arrays
+        raise DomainError(f"{kind} value {value} beyond the family's {top:.6g} at q={q}")
+    n = row.to_n(value)
+    return n, np.abs(row.dfrom_n(n))
 
 
-def qcrb_unc(kind: str, value: float) -> float:
-    """sqrt of the QCRB variance (single-shot optimal uncertainty)."""
-    return float(np.sqrt(max(0.0, qcrb_curves(kind, value))))
+def _qcrb_n(n, q: float):
+    """QCRB_N(q) = 4q(1-q) - N^2, the single-shot quantum bound on the N scale
+    (Genoni, Giorda & Paris, PRA 78, 052322 (2008))."""
+    return np.maximum(0.0, 4.0 * q * (1.0 - q) - n * n)
+
+
+def _sd_n(variant: str, n):
+    """Single-shot standard deviation of an estimator on the N scale; both
+    estimators are unbiased for N at every q, so neither depends on q."""
+    if variant == NONOPTIMAL:
+        return np.sqrt(3.0 - 2.0 * n - n * n)
+    return np.sqrt(1.0 - n * n)
+
+
+def qcrb_curves(kind: str, value, q: float = 0.5):
+    """Single-shot quantum Cramer-Rao variance bound at measure values and q."""
+    n, scale = _to_n(kind, value, q)
+    return _qcrb_n(n, q) * scale ** 2
+
+
+def nonopt_unc_curves(kind: str, value):
+    """Single-shot uncertainty of the non-optimal estimator at measure values."""
+    n, scale = _to_n(kind, value)
+    return _sd_n(NONOPTIMAL, n) * scale
+
+
+def qcrb_unc(kind: str, value, q: float = 0.5):
+    """sqrt of the QCRB variance at measure values and q."""
+    n, scale = _to_n(kind, value, q)
+    return np.sqrt(_qcrb_n(n, q)) * scale
 
 
 def clip_to_range(kind: str, values):
     """Estimates projected onto the measure's valid range."""
-    lo, hi = _measure_range(kind)
-    return np.clip(values, lo, hi)
+    return np.clip(values, *_row(kind).range)
 
 
 def estimator_values(kind: str, variant: str,
@@ -141,7 +157,7 @@ def estimator_values(kind: str, variant: str,
     statistical noise pushed to <= 0 floor at LOG_CLAMP and are flagged in the
     mask. A single record gives 0-d results.
     """
-    if (kind, variant) not in ESTIMATORS:
+    if kind not in states.MEASURES or variant not in VARIANTS:
         raise DomainError(f"no estimator for kind={kind!r}, variant={variant!r}")
     counts = np.asarray(counts)
     n = counts.sum(axis=-1, keepdims=True)
@@ -165,88 +181,28 @@ def estimator_values(kind: str, variant: str,
 
 
 def estimate(kind: str, variant: str, counts: measurement.OutcomeCounts,
-             at_value: float | None = None) -> EstimateResult:
+             at_value: float | None = None, q: float = 0.5) -> EstimateResult:
     """One estimate from one count record; theory curves at at_value if given.
 
-    Without at_value the curves are evaluated at the clamped estimate.
+    Without at_value the curves are evaluated at the clamped estimate. Their
+    reference N is clipped to the family's reach 2 sqrt(q(1-q)) at q.
     """
     raw, floored = estimator_values(kind, variant, counts.as_array())
     value = float(raw)
     value_clamped = float(clip_to_range(kind, value))
-    ref = float(clip_to_range(kind, at_value)) if at_value is not None else value_clamped
-    qcrb = qcrb_unc(kind, ref)
-    theory = qcrb if variant == OPTIMAL else nonopt_unc_curves(kind, ref)
+    ref = value_clamped if at_value is None else clip_to_range(kind, at_value)
+    n = min(_row(kind).to_n(ref), _reach(q))
+    scale = abs(_row(kind).dfrom_n(n))
     return EstimateResult(
         kind=kind,
         variant=variant,
         value=value,
         value_clamped=value_clamped,
         n_shots=counts.n,
-        theory_unc_single_shot=theory,
-        qcrb_unc_single_shot=qcrb,
+        theory_unc_single_shot=float(_sd_n(variant, n) * scale),
+        qcrb_unc_single_shot=float(np.sqrt(_qcrb_n(n, q)) * scale),
         clamped=bool(floored or value_clamped != value),
     )
-
-
-# --- per-estimator entry points --------------------------------------------------
-
-def est_neg_nonopt(counts: measurement.OutcomeCounts,
-                   at_value: float | None = None) -> EstimateResult:
-    """N estimate 1 - 4 f_pp from the ++ fraction alone."""
-    return estimate(states.NEGATIVITY, NONOPTIMAL, counts, at_value)
-
-
-def est_neg_opt(counts: measurement.OutcomeCounts,
-                at_value: float | None = None) -> EstimateResult:
-    """N estimate from the parity combination (f_pm + f_mp) - (f_pp + f_mm)."""
-    return estimate(states.NEGATIVITY, OPTIMAL, counts, at_value)
-
-
-def est_logneg_nonopt(counts: measurement.OutcomeCounts,
-                      at_value: float | None = None) -> EstimateResult:
-    """L estimate log2(2 - 4 f_pp); non-positive arguments floor at 2^-20."""
-    return estimate(states.LOG_NEGATIVITY, NONOPTIMAL, counts, at_value)
-
-
-def est_logneg_opt(counts: measurement.OutcomeCounts,
-                   at_value: float | None = None) -> EstimateResult:
-    """L estimate log2(1 + parity combination)."""
-    return estimate(states.LOG_NEGATIVITY, OPTIMAL, counts, at_value)
-
-
-def est_conc_nonopt(counts: measurement.OutcomeCounts,
-                    at_value: float | None = None) -> EstimateResult:
-    """Concurrence estimate; numerically the negativity estimator."""
-    return estimate(states.CONCURRENCE, NONOPTIMAL, counts, at_value)
-
-
-def est_conc_opt(counts: measurement.OutcomeCounts,
-                 at_value: float | None = None) -> EstimateResult:
-    return estimate(states.CONCURRENCE, OPTIMAL, counts, at_value)
-
-
-def est_qgd_nonopt(counts: measurement.OutcomeCounts,
-                   at_value: float | None = None) -> EstimateResult:
-    """Q estimate (1 - 4 f_pp)^2 / 2."""
-    return estimate(states.QGD, NONOPTIMAL, counts, at_value)
-
-
-def est_qgd_opt(counts: measurement.OutcomeCounts,
-                at_value: float | None = None) -> EstimateResult:
-    """Q estimate (parity combination)^2 / 2."""
-    return estimate(states.QGD, OPTIMAL, counts, at_value)
-
-
-ESTIMATORS: dict[tuple[str, str], Callable[..., EstimateResult]] = {
-    (states.NEGATIVITY, NONOPTIMAL): est_neg_nonopt,
-    (states.NEGATIVITY, OPTIMAL): est_neg_opt,
-    (states.LOG_NEGATIVITY, NONOPTIMAL): est_logneg_nonopt,
-    (states.LOG_NEGATIVITY, OPTIMAL): est_logneg_opt,
-    (states.CONCURRENCE, NONOPTIMAL): est_conc_nonopt,
-    (states.CONCURRENCE, OPTIMAL): est_conc_opt,
-    (states.QGD, NONOPTIMAL): est_qgd_nonopt,
-    (states.QGD, OPTIMAL): est_qgd_opt,
-}
 
 
 # --- measure <-> parameter paths for Fisher information --------------------------------
@@ -254,28 +210,19 @@ ESTIMATORS: dict[tuple[str, str], Callable[..., EstimateResult]] = {
 def measure_path(kind: str, q: float = 0.5) -> Callable[[float], np.ndarray]:
     """theta -> rho(theta) along the family, theta in the measure's own units.
 
-    The negativity path at q is rho(p = theta / (2 sqrt(q(1-q))), q); the
-    log-negativity and discord paths are its exact reparameterizations
-    theta_L = log2(1 + N) and theta_Q = N^2 / 2. Paths tolerate a half
+    theta maps to N through the kind's to_n, and N to rho(p = N / (2
+    sqrt(q(1-q))), q), so the log-negativity and discord paths are exact
+    reparameterizations of the negativity path. Paths tolerate a half
     central-difference step outside the physical range.
     """
-    s = 2.0 * np.sqrt(q * (1.0 - q))
+    s = _reach(q)
     if s <= 0.0:
         raise DomainError(f"family path needs q in (0, 1), got q={q!r}")
-
-    if kind in (states.NEGATIVITY, states.CONCURRENCE):
-        to_n = lambda theta: theta
-    elif kind == states.LOG_NEGATIVITY:
-        to_n = lambda theta: 2.0 ** theta - 1.0
-    elif kind == states.QGD:
-        def to_n(theta: float) -> float:
-            if theta < 0.0:
-                raise DomainError(f"discord path needs theta >= 0, got {theta!r}")
-            return np.sqrt(2.0 * theta)
-    else:
-        raise DomainError(f"unknown measure kind {kind!r}")
+    to_n = _row(kind).to_n
 
     def path(theta: float) -> np.ndarray:
+        if kind == states.QGD and theta < 0.0:
+            raise DomainError(f"discord path needs theta >= 0, got {theta!r}")
         return states._family_matrix(to_n(theta) / s, q)
 
     return path

@@ -173,13 +173,6 @@ class SweepRow:
     stats: list[EstimatorStats] = field(default_factory=list)
 
 
-_CLOSED_FORMS = {
-    states.NEGATIVITY: states.negativity_closed,
-    states.LOG_NEGATIVITY: states.log_negativity_closed,
-    states.QGD: states.qgd_closed,
-}
-
-
 def _run_indices(cfg: SweepConfig, point: int, slot: int) -> range:
     """Stream run indices (point*M + rep)*8 + slot of every repetition."""
     start = point * cfg.repetitions * 8 + slot
@@ -214,12 +207,15 @@ def _fit_p(cfg: SweepConfig, p: float, point: int) -> float:
 def run_sweep(cfg: SweepConfig) -> list[SweepRow]:
     """M repeated six-estimator runs at every grid point, plus a tomographic fit."""
     cfg.validate()
+    n = states.negativity_closed(np.array(cfg.p_grid), cfg.q)
+    truth = {kind: states.MEASURES[kind].from_n(n) for kind in SWEEP_KINDS}
+    nonopt = {kind: estimation.nonopt_unc_curves(kind, v) for kind, v in truth.items()}
+    qcrb = {kind: estimation.qcrb_unc(kind, v, cfg.q) for kind, v in truth.items()}
     rows = []
     for point, p in enumerate(cfg.p_grid):
         counts = _draw_point(cfg, p, point)
         stats = []
         for kind in SWEEP_KINDS:
-            truth = _CLOSED_FORMS[kind](p, cfg.q)
             for variant in estimation.VARIANTS:
                 raw, _ = estimation.estimator_values(kind, variant, counts)
                 values = estimation.clip_to_range(kind, raw)
@@ -228,9 +224,9 @@ def run_sweep(cfg: SweepConfig) -> list[SweepRow]:
                     variant=variant,
                     mean=float(values.mean()),
                     stddev=float(values.std(ddof=1)),
-                    theory_value=truth,
-                    unc_nonopt=float(estimation.nonopt_unc_curves(kind, truth)),
-                    unc_qcrb=float(estimation.qcrb_unc(kind, truth)),
+                    theory_value=float(truth[kind][point]),
+                    unc_nonopt=float(nonopt[kind][point]),
+                    unc_qcrb=float(qcrb[kind][point]),
                 ))
         rows.append(SweepRow(p_true=float(p), p_fitted=_fit_p(cfg, p, point),
                              stats=stats))
@@ -297,11 +293,10 @@ def svg_text(rows: list[SweepRow], cfg: SweepConfig, kind: str,
     means = np.array([st.mean for _, st in picked])
     errs = np.array([st.stddev for _, st in picked])
 
-    closed = _CLOSED_FORMS[kind]
     dense = np.linspace(0.0, 1.0, _CURVE_POINTS)
-    value = np.array([closed(p, cfg.q) for p in dense])
-    half_n = np.array([estimation.nonopt_unc_curves(kind, v) for v in value])
-    half_q = np.array([estimation.qcrb_unc(kind, v) for v in value])
+    value = states.MEASURES[kind].from_n(states.negativity_closed(dense, cfg.q))
+    half_n = estimation.nonopt_unc_curves(kind, value)
+    half_q = estimation.qcrb_unc(kind, value, cfg.q)
     root_n = np.sqrt(cfg.n_shots)
     env_n_lo, env_n_hi = value - half_n / root_n, value + half_n / root_n
     env_q_lo, env_q_hi = value - half_q / root_n, value + half_q / root_n

@@ -12,11 +12,13 @@ a negative diagonal entry is not a physical state). p interpolates from that
 mixture to the pure state |psi_q>; at q = 1/2, p = 1 the state is the singlet.
 
 Closed forms on the family: negativity N = 2 p sqrt(q (1 - q)), log-negativity
-L = log2(1 + N), concurrence C = N, and geometric discord Q = N^2 / 2.
+L = log2(1 + N), concurrence C = N, and geometric discord Q = N^2 / 2; the
+MEASURES table holds each as a function of N.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -30,15 +32,35 @@ NEGATIVITY = "negativity"
 LOG_NEGATIVITY = "log_negativity"
 CONCURRENCE = "concurrence"
 QGD = "qgd"
-MEASURE_KINDS = (NEGATIVITY, LOG_NEGATIVITY, CONCURRENCE, QGD)
 
-# Valid range of each measure on two qubits.
-MEASURE_RANGE = {
-    NEGATIVITY: (0.0, 1.0),
-    LOG_NEGATIVITY: (0.0, 1.0),
-    CONCURRENCE: (0.0, 1.0),
-    QGD: (0.0, 0.5),
+
+class Measure(NamedTuple):
+    """A measure as a monotone function of the negativity N on the family:
+    from_n, its inverse to_n and its derivative dfrom_n, elementwise on arrays."""
+
+    from_n: Callable
+    to_n: Callable
+    dfrom_n: Callable
+
+    @property
+    def range(self) -> tuple[float, float]:
+        """The measure's valid range, (from_n(0), from_n(1))."""
+        return self.from_n(0.0), self.from_n(1.0)
+
+
+_N_SCALE = Measure(from_n=lambda n: n, to_n=lambda v: v, dfrom_n=np.ones_like)
+
+MEASURES = {
+    NEGATIVITY: _N_SCALE,
+    LOG_NEGATIVITY: Measure(from_n=lambda n: np.log2(1.0 + n),
+                            to_n=lambda v: 2.0 ** v - 1.0,
+                            dfrom_n=lambda n: 1.0 / ((1.0 + n) * np.log(2.0))),
+    CONCURRENCE: _N_SCALE,
+    QGD: Measure(from_n=lambda n: 0.5 * n * n,
+                 to_n=lambda v: np.sqrt(2.0 * v),
+                 dfrom_n=lambda n: n),
 }
+MEASURE_KINDS = tuple(MEASURES)
 
 
 def validate_density_matrix(rho: np.ndarray, tol: float = DENSITY_TOL) -> np.ndarray:
@@ -113,9 +135,9 @@ def negativity(rho: np.ndarray) -> float:
     return _negativity_from_tn(_pt_trace_norm(validate_density_matrix(rho)))
 
 
-def negativity_closed(p: float, q: float) -> float:
-    """N(p, q) = 2 p sqrt(q (1 - q))."""
-    return float(2.0 * p * np.sqrt(q * (1.0 - q)))
+def negativity_closed(p, q: float):
+    """N(p, q) = 2 p sqrt(q (1 - q)); p may be an array."""
+    return 2.0 * p * np.sqrt(q * (1.0 - q))
 
 
 def log_negativity(rho: np.ndarray) -> float:
@@ -160,11 +182,7 @@ def qgd(rho: np.ndarray) -> float:
     Valid on (and near) the state family this package studies; it is not a
     general-state geometric-discord formula.
     """
-    return _qgd_from_negativity(negativity(rho))
-
-
-def _qgd_from_negativity(n: float) -> float:
-    return float(0.5 * n * n)
+    return float(MEASURES[QGD].from_n(negativity(rho)))
 
 
 def qgd_closed(p: float, q: float) -> float:
@@ -183,7 +201,7 @@ def measures(rho: np.ndarray) -> dict[str, float]:
         NEGATIVITY: n,
         LOG_NEGATIVITY: _log_negativity_from_tn(tn),
         CONCURRENCE: _concurrence(rho),
-        QGD: _qgd_from_negativity(n),
+        QGD: float(MEASURES[QGD].from_n(n)),
     }
 
 

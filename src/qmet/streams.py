@@ -38,10 +38,6 @@ class RandomStream:
         """One exact Multinomial(n, pvals) draw; its cost does not grow with n."""
         return self._gen.multinomial(int(n), pvals)
 
-    def spawn(self, run_index: int) -> "RandomStream":
-        """Independent stream under the same master seed."""
-        return RandomStream(self.master_seed, run_index)
-
     def __repr__(self) -> str:
         return f"RandomStream(master_seed={self.master_seed}, run_index={self.run_index})"
 

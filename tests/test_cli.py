@@ -92,6 +92,19 @@ class TestEstimate:
         assert blob["variant"] == "nonoptimal"
         assert 0.0 <= blob["value"] <= 0.5 or blob["clamped"]
 
+    def test_estimate_beyond_reach_clips_reference(self, capsys, tmp_path):
+        path = tmp_path / "counts.json"
+        path.write_text(json.dumps({"setting": "DA,DA", "n_pp": 0, "n_pm": 500,
+                                    "n_mp": 500, "n_mm": 0}))
+        code, out = run_main(capsys, ["estimate", "--kind", "negativity",
+                                      "--variant", "optimal", "--q", "0.2",
+                                      "--counts", str(path)])
+        assert code == 0
+        blob = json.loads(out)
+        assert blob["value"] == 1.0
+        assert blob["unc_qcrb"] == pytest.approx(0.0, abs=1e-6)
+        assert blob["unc_theory"] == pytest.approx(0.6, abs=1e-12)
+
     def test_missing_inputs_is_config_error(self, capsys):
         assert cli.main(["estimate", "--kind", "negativity",
                          "--variant", "optimal"]) == 2
@@ -251,6 +264,21 @@ class TestFisher:
     def test_bad_theta_is_domain_error(self, capsys):
         assert cli.main(["fisher", "--path", "negativity", "--theta",
                          "1.5"]) == 3
+
+    def test_bound_off_half(self, capsys):
+        # QCRB_N(q) = 4q(1-q) - N^2; DA x DA carries only part of the QFI
+        code, out = run_main(capsys, ["fisher", "--path", "negativity",
+                                      "--theta", "0.5", "--q", "0.2"])
+        assert code == 0
+        blob = json.loads(out)
+        assert blob["qcrb_closed"] == pytest.approx(0.39, abs=1e-12)
+        assert blob["qcrb_numeric"] == pytest.approx(blob["qcrb_closed"], abs=1e-5)
+        assert blob["cfi_over_qfi"] == pytest.approx(0.52, abs=1e-6)
+
+    def test_theta_beyond_reach_is_domain_error(self, capsys):
+        # the family reaches N = 2 sqrt(0.2 * 0.8) = 0.8 at most
+        assert cli.main(["fisher", "--path", "negativity", "--theta", "0.9",
+                         "--q", "0.2"]) == 3
 
 
 class TestSubprocessSurface:

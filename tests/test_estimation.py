@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -9,52 +11,59 @@ from qmet.streams import RandomStream
 
 LN2 = np.log(2.0)
 RNG = np.random.default_rng(60611)
+N, L, C, Q = states.NEGATIVITY, states.LOG_NEGATIVITY, states.CONCURRENCE, states.QGD
+NONOPT, OPT = est.NONOPTIMAL, est.OPTIMAL
+ALL_ESTIMATORS = list(itertools.product(states.MEASURE_KINDS, est.VARIANTS))
 
 
 def counts(a, b, c, d):
     return ms.OutcomeCounts(a, b, c, d)
 
 
+def value(kind, variant, c, **kw):
+    return est.estimate(kind, variant, c, **kw).value
+
+
 # --- estimator point values (frozen) -----------------------------------------
 
 def test_negativity_estimators_frozen():
-    assert est.est_neg_nonopt(counts(100, 400, 400, 100)).value == pytest.approx(0.6, abs=1e-12)
-    assert est.est_neg_opt(counts(100, 400, 400, 100)).value == pytest.approx(0.6, abs=1e-12)
-    assert est.est_neg_nonopt(counts(0, 500, 500, 0)).value == pytest.approx(1.0, abs=1e-12)
-    assert est.est_neg_opt(counts(250, 250, 250, 250)).value == pytest.approx(0.0, abs=1e-12)
+    assert value(N, NONOPT, counts(100, 400, 400, 100)) == pytest.approx(0.6, abs=1e-12)
+    assert value(N, OPT, counts(100, 400, 400, 100)) == pytest.approx(0.6, abs=1e-12)
+    assert value(N, NONOPT, counts(0, 500, 500, 0)) == pytest.approx(1.0, abs=1e-12)
+    assert value(N, OPT, counts(250, 250, 250, 250)) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_log_negativity_estimators_frozen():
-    r = est.est_logneg_nonopt(counts(125, 375, 375, 125))
+    r = est.estimate(L, NONOPT, counts(125, 375, 375, 125))
     assert r.value == pytest.approx(np.log2(1.5), abs=1e-12)
     assert not r.clamped
-    assert est.est_logneg_opt(counts(0, 500, 500, 0)).value == pytest.approx(1.0, abs=1e-12)
-    assert est.est_logneg_opt(counts(250, 250, 250, 250)).value == pytest.approx(0.0, abs=1e-12)
+    assert value(L, OPT, counts(0, 500, 500, 0)) == pytest.approx(1.0, abs=1e-12)
+    assert value(L, OPT, counts(250, 250, 250, 250)) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_concurrence_estimators_relabel_negativity():
     c = counts(100, 400, 400, 100)
-    assert est.est_conc_nonopt(c).value == est.est_neg_nonopt(c).value
-    assert est.est_conc_opt(c).value == est.est_neg_opt(c).value
-    assert est.est_conc_opt(c).kind == states.CONCURRENCE
+    assert value(C, NONOPT, c) == value(N, NONOPT, c)
+    assert value(C, OPT, c) == value(N, OPT, c)
+    assert est.estimate(C, OPT, c).kind == states.CONCURRENCE
 
 
 def test_qgd_estimators_frozen():
-    assert est.est_qgd_nonopt(counts(100, 400, 400, 100)).value == pytest.approx(0.18, abs=1e-12)
-    assert est.est_qgd_opt(counts(0, 500, 500, 0)).value == pytest.approx(0.5, abs=1e-12)
+    assert value(Q, NONOPT, counts(100, 400, 400, 100)) == pytest.approx(0.18, abs=1e-12)
+    assert value(Q, OPT, counts(0, 500, 500, 0)) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_log_clamp_floors_at_minus_twenty():
-    r = est.est_logneg_nonopt(counts(500, 0, 0, 500))
+    r = est.estimate(L, NONOPT, counts(500, 0, 0, 500))
     assert r.value == -20.0
     assert r.clamped
     assert r.value_clamped == 0.0
-    r2 = est.est_logneg_opt(counts(500, 0, 0, 500))
+    r2 = est.estimate(L, OPT, counts(500, 0, 0, 500))
     assert r2.value == -20.0 and r2.clamped
 
 
 def test_raw_value_reported_with_clamped_companion():
-    r = est.est_neg_nonopt(counts(1000, 0, 0, 0))
+    r = est.estimate(N, NONOPT, counts(1000, 0, 0, 0))
     assert r.value == pytest.approx(-3.0)
     assert r.value_clamped == 0.0
     assert r.clamped
@@ -64,9 +73,9 @@ def test_raw_value_reported_with_clamped_companion():
 
 def test_at_value_moves_curve_evaluation_point():
     c = counts(100, 400, 400, 100)
-    r = est.est_neg_opt(c, at_value=0.0)
+    r = est.estimate(N, OPT, c, at_value=0.0)
     assert r.qcrb_unc_single_shot == pytest.approx(1.0, abs=1e-12)
-    r2 = est.est_neg_opt(c)
+    r2 = est.estimate(N, OPT, c)
     assert r2.qcrb_unc_single_shot == pytest.approx(np.sqrt(1 - 0.36), abs=1e-12)
 
 
@@ -78,6 +87,22 @@ def test_estimate_dispatch_and_record():
                         "unc_qcrb", "clamped"}
     with pytest.raises(DomainError):
         est.estimate("negativity", "fancy", counts(1, 1, 1, 1))
+    with pytest.raises(DomainError):
+        est.estimate("entropy", OPT, counts(1, 1, 1, 1))
+
+
+def test_estimate_off_half_clips_reference_to_reach():
+    # a pure-endpoint record at q = 0.2 reads N = 1 > 2 sqrt(0.16) = 0.8
+    r = est.estimate(N, OPT, counts(0, 500, 500, 0), q=0.2)
+    assert r.value == 1.0 and not r.clamped
+    assert r.theory_unc_single_shot == pytest.approx(0.6, abs=1e-12)
+    assert r.qcrb_unc_single_shot == pytest.approx(0.0, abs=1e-6)
+    r = est.estimate(L, NONOPT, counts(100, 400, 400, 100), q=0.2)
+    n = 0.6
+    assert r.qcrb_unc_single_shot == pytest.approx(
+        np.sqrt(0.64 - n * n) / ((1.0 + n) * LN2), abs=1e-12)
+    assert r.theory_unc_single_shot == pytest.approx(
+        np.sqrt(3.0 - 2.0 * n - n * n) / ((1.0 + n) * LN2), abs=1e-12)
 
 
 # --- theory curves (frozen + identities) ---------------------------------------
@@ -89,6 +114,12 @@ def test_qcrb_curves_frozen():
     assert est.qcrb_curves(states.LOG_NEGATIVITY, 0.0) == pytest.approx(2.0813689810056077, abs=1e-12)
     assert est.qcrb_curves(states.QGD, 0.125) == pytest.approx(0.1875, abs=1e-15)
     assert est.qcrb_curves(states.CONCURRENCE, 0.5) == pytest.approx(0.75)
+    # off q = 1/2 the bound is QCRB_N(q) = 4q(1-q) - N^2
+    assert est.qcrb_curves(states.NEGATIVITY, 0.5, q=0.2) == pytest.approx(0.39, abs=1e-12)
+    assert est.qcrb_curves(states.NEGATIVITY, 0.8, q=0.2) == pytest.approx(0.0, abs=1e-12)
+    assert est.qcrb_curves(states.QGD, 0.125, q=0.3) == pytest.approx(
+        (0.84 - 0.25) * 0.25, abs=1e-12)
+    assert est.qcrb_unc(states.NEGATIVITY, 0.0, q=0.2) == pytest.approx(0.8, abs=1e-12)
 
 
 def test_nonopt_unc_curves_frozen():
@@ -105,6 +136,21 @@ def test_curves_reject_out_of_range():
         est.nonopt_unc_curves(states.QGD, 0.6)
     with pytest.raises(DomainError):
         est.qcrb_curves("entropy", 0.1)
+    # N = 0.9 lies beyond the family's reach 2 sqrt(q(1-q)) = 0.8 at q = 0.2
+    with pytest.raises(DomainError):
+        est.qcrb_curves(states.NEGATIVITY, 0.9, q=0.2)
+    with pytest.raises(DomainError):
+        est.qcrb_unc(states.LOG_NEGATIVITY, np.log2(1.9), q=0.2)
+    with pytest.raises(DomainError):
+        est.qcrb_unc(states.NEGATIVITY, 0.1, q=1.5)
+
+
+def test_curves_take_arrays():
+    values = np.linspace(0.0, 0.5, 7)
+    for kind in states.MEASURE_KINDS:
+        for curve in (est.nonopt_unc_curves, est.qcrb_unc):
+            assert np.array_equal(curve(kind, values),
+                                  [curve(kind, float(v)) for v in values])
 
 
 def test_log_and_qgd_curves_are_delta_method_images():
@@ -124,12 +170,11 @@ def test_log_and_qgd_curves_are_delta_method_images():
 
 
 def test_qcrb_never_exceeds_theory_uncertainty():
-    stream = RandomStream(871, 0)
     for r in range(30):
         p = float(r) / 29.0
         c = ms.sample_counts(states.family_state(p, 0.5), ms.DA_DA, 500,
-                             stream.spawn(r))
-        for kind, variant in est.ESTIMATORS:
+                             RandomStream(871, r))
+        for kind, variant in ALL_ESTIMATORS:
             res = est.estimate(kind, variant, c)
             assert res.qcrb_unc_single_shot <= res.theory_unc_single_shot + 1e-12
             if variant == est.OPTIMAL:
@@ -141,11 +186,11 @@ def test_estimators_unbiased_small_monte_carlo():
     # light-budget check; the acceptance suite runs the full-budget version
     p_true = 0.6
     rho = states.family_state(p_true, 0.5)
-    vals = {key: [] for key in est.ESTIMATORS}
+    vals = {key: [] for key in ALL_ESTIMATORS}
     for r in range(300):
         c = ms.sample_counts(rho, ms.DA_DA, 2000, RandomStream(99, r))
-        for key, fn in est.ESTIMATORS.items():
-            vals[key].append(fn(c).value)
+        for kind, variant in ALL_ESTIMATORS:
+            vals[(kind, variant)].append(value(kind, variant, c))
     truth = {
         states.NEGATIVITY: 0.6,
         states.CONCURRENCE: 0.6,
@@ -189,7 +234,7 @@ def _reference_estimate(kind, variant, record) -> tuple[float, bool]:
     return v, False
 
 
-@pytest.mark.parametrize("kind,variant", list(est.ESTIMATORS))
+@pytest.mark.parametrize("kind,variant", ALL_ESTIMATORS)
 def test_array_kernel_matches_estimate_bitwise(kind, variant):
     records = _kernel_records()
     raw, floored = est.estimator_values(kind, variant, records)

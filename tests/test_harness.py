@@ -16,6 +16,27 @@ def small_config(**kw) -> harness.SweepConfig:
     return harness.build_config(**base)
 
 
+CLOSED_FORMS = {
+    states.NEGATIVITY: states.negativity_closed,
+    states.LOG_NEGATIVITY: states.log_negativity_closed,
+    states.QGD: states.qgd_closed,
+}
+
+
+def per_kind_curves(kind: str, v: float, q: float) -> tuple[float, float]:
+    """(non-optimal, QCRB) single-shot uncertainties, each kind written out in
+    its own units; QCRB_N(q) = 4q(1-q) - N^2."""
+    c = 4.0 * q * (1.0 - q)
+    ln2 = math.log(2.0)
+    if kind == states.NEGATIVITY:
+        return math.sqrt(3.0 - 2.0 * v - v * v), math.sqrt(max(0.0, c - v * v))
+    if kind == states.LOG_NEGATIVITY:
+        nonopt = math.sqrt(max(0.0, -(4.0 ** -v) * (4.0 ** v - 4.0))) / ln2
+        return nonopt, math.sqrt(max(0.0, c - (2.0 ** v - 1.0) ** 2)) / (2.0 ** v * ln2)
+    nonopt = math.sqrt(max(0.0, -2.0 * v * (2.0 * v + 2.0 * math.sqrt(2.0 * v) - 3.0)))
+    return nonopt, math.sqrt(max(0.0, (c - 2.0 * v) * 2.0 * v))
+
+
 @pytest.fixture(scope="module")
 def rows():
     return harness.run_sweep(small_config())
@@ -95,15 +116,19 @@ class TestRunSweep:
                 assert st.unc_qcrb <= st.unc_nonopt + 1e-12
 
     def test_theory_columns_are_the_closed_curves(self, rows):
-        cfg = small_config()
-        for row, p in zip(rows, cfg.p_grid):
-            for st in row.stats:
-                truth = harness._CLOSED_FORMS[st.kind](p, cfg.q)
-                assert st.theory_value == pytest.approx(truth, abs=1e-12)
-                assert st.unc_nonopt == pytest.approx(
-                    estimation.nonopt_unc_curves(st.kind, truth), abs=1e-12)
-                assert st.unc_qcrb == pytest.approx(
-                    estimation.qcrb_unc(st.kind, truth), abs=1e-12)
+        off_half = small_config(q=0.3)
+        for cfg, swept in ((small_config(), rows),
+                           (off_half, harness.run_sweep(off_half))):
+            for row, p in zip(swept, cfg.p_grid):
+                for st in row.stats:
+                    truth = CLOSED_FORMS[st.kind](p, cfg.q)
+                    nonopt, qcrb = per_kind_curves(st.kind, truth, cfg.q)
+                    assert st.theory_value == pytest.approx(truth, abs=1e-12)
+                    assert st.unc_nonopt == pytest.approx(nonopt, abs=1e-12)
+                    # at the pure endpoint the bound is the root of a
+                    # difference that rounds to about 1e-16
+                    tol = 1e-7 if p == 1.0 else 1e-12
+                    assert st.unc_qcrb == pytest.approx(qcrb, abs=tol)
 
     def test_pure_endpoint(self, rows):
         last = rows[-1]
@@ -160,12 +185,12 @@ def _reference_csv(cfg: harness.SweepConfig) -> str:
                     estimation.estimate(kind, variant, record).value_clamped)
         stats = []
         for (kind, variant), vals in values.items():
-            truth = harness._CLOSED_FORMS[kind](p, cfg.q)
+            truth = CLOSED_FORMS[kind](p, cfg.q)
             vals = np.asarray(vals)
             stats.append(harness.EstimatorStats(
                 kind, variant, float(vals.mean()), float(vals.std(ddof=1)), truth,
                 estimation.nonopt_unc_curves(kind, truth),
-                estimation.qcrb_unc(kind, truth)))
+                estimation.qcrb_unc(kind, truth, cfg.q)))
         dataset = tomography.simulate_tomography(
             states.family_state(p, cfg.q), cfg.n_shots,
             RandomStream(cfg.master_seed, harness.TOMO_FLAG | point))

@@ -1,8 +1,9 @@
 """Property tests over randomly drawn inputs (Hypothesis, derandomized)."""
 import numpy as np
-from hypothesis import given, settings, strategies as st
+import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from qmet import states, tomography
+from qmet import estimation, measurement, states, tomography
 from qmet.streams import RandomStream
 
 unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
@@ -21,3 +22,44 @@ def test_mle_is_physical_and_dominates_linear_inversion(p, q, n_per_setting, see
     assert abs(np.trace(rho_hat).real - 1.0) < 1e-12
     assert np.linalg.eigvalsh(rho_hat).min() > -1e-12
     assert rec.log_likelihood >= tomography.reconstruct_linear(ds).log_likelihood - 1e-9
+
+
+# --- the measure table and the quantum bound ---------------------------------
+
+kinds = st.sampled_from(states.MEASURE_KINDS)
+negativities = st.lists(unit, min_size=1, max_size=20).map(np.array)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(kind=kinds, q=st.floats(min_value=0.05, max_value=0.95),
+       frac=st.floats(min_value=0.0, max_value=0.98))
+def test_closed_qcrb_is_inverse_qfi_and_bounds_da_cfi(kind, q, frac):
+    row = states.MEASURES[kind]
+    n = frac * states.negativity_closed(1.0, q)
+    # the discord path's central difference needs theta well above its step
+    assume(kind != states.QGD or n >= 0.05)
+    theta = float(row.from_n(n))
+    povm = measurement.setting_projectors(measurement.DA_DA)
+    report = estimation.qfi_numeric(estimation.measure_path(kind, q), theta, povm=povm)
+    assert estimation.qcrb_curves(kind, theta, q) == pytest.approx(
+        1.0 / report.qfi, rel=1e-5)
+    assert report.cfi <= report.qfi + 1e-6
+
+
+@settings(max_examples=50, derandomize=True, deadline=None)
+@given(kind=kinds, n=negativities)
+def test_measure_table_rows_are_consistent(kind, n):
+    row = states.MEASURES[kind]
+    np.testing.assert_allclose(row.to_n(row.from_n(n)), n, rtol=1e-12, atol=1e-15)
+    h = 1e-6
+    central = (row.from_n(n + h) - row.from_n(n - h)) / (2.0 * h)
+    np.testing.assert_allclose(row.dfrom_n(n), central, rtol=1e-7, atol=1e-9)
+
+
+def test_measure_ranges():
+    assert {kind: states.MEASURES[kind].range for kind in states.MEASURE_KINDS} == {
+        states.NEGATIVITY: (0.0, 1.0),
+        states.LOG_NEGATIVITY: (0.0, 1.0),
+        states.CONCURRENCE: (0.0, 1.0),
+        states.QGD: (0.0, 0.5),
+    }
