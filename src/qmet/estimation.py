@@ -102,14 +102,23 @@ def _to_n(kind: str, value, q: float = 0.5):
     top = row.from_n(_reach(q))
     if value.max() > top * (1.0 + 1e-12):  # from_n may round an ulp apart on arrays
         raise DomainError(f"{kind} value {value} beyond the family's {top:.6g} at q={q}")
-    n = row.to_n(value)
+    # to_n(from_n(reach)) can land an ulp off the reach, and the bound's
+    # square root turns that ulp into ~1e-8: a value at the top within
+    # round-off is the reach itself ([()] keeps scalars scalar)
+    n = np.where(value >= top * (1.0 - 1e-15), _reach(q), row.to_n(value))[()]
     return n, np.abs(row.dfrom_n(n))
 
 
 def _qcrb_n(n, q: float):
     """QCRB_N(q) = 4q(1-q) - N^2, the single-shot quantum bound on the N scale
-    (Genoni, Giorda & Paris, PRA 78, 052322 (2008))."""
-    return np.maximum(0.0, 4.0 * q * (1.0 - q) - n * n)
+    (Genoni, Giorda & Paris, PRA 78, 052322 (2008)).
+
+    It is computed as (s - N)(s + N) with s = 2 sqrt(q(1-q)), the family's
+    reach, so it is exactly 0 at N = s; the difference of the two rounded
+    squares leaves ~1e-16 there, which a square root turns into ~1e-8.
+    """
+    s = _reach(q)
+    return np.maximum(0.0, (s - n) * (s + n))
 
 
 def _sd_n(variant: str, n):

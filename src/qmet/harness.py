@@ -200,7 +200,7 @@ def _fit_p(cfg: SweepConfig, p: float, point: int) -> float:
     stream = RandomStream(cfg.master_seed, TOMO_FLAG | point)
     dataset = tomography.simulate_tomography(rho, cfg.n_shots, stream)
     recon = tomography.reconstruct_mle(dataset)
-    fit = states.fit_family_params(tomography.project_physical(recon.rho_hat))
+    fit = states.fit_family_params(tomography.physical_state(recon.rho_hat))
     return fit.p
 
 

@@ -149,9 +149,18 @@ def _require_shots(n: int) -> None:
 
 def draw_counts(probs: np.ndarray, n: int, stream: RandomStream) -> OutcomeCounts:
     """One exact Multinomial(n, probs) count record; probs is renormalized."""
+    return OutcomeCounts(*(int(c) for c in draw_count_rows(probs, n, stream)))
+
+
+def draw_count_rows(probs: np.ndarray, n: int, stream: RandomStream) -> np.ndarray:
+    """draw_counts on each probability row (last axis) in turn, as one int array.
+
+    One multinomial call on one stream takes the rows in order, so row i
+    equals the i-th of sequential draw_counts calls bit for bit, and the
+    stream is left where those calls would leave it.
+    """
     _require_shots(n)
-    c = stream.multinomial(n, _normalised(probs))
-    return OutcomeCounts(int(c[0]), int(c[1]), int(c[2]), int(c[3]))
+    return stream.multinomial(n, _normalised(probs))
 
 
 def draw_counts_keyed(probs: np.ndarray, n: int, master_seed: int,

@@ -17,6 +17,7 @@ MEASURES table holds each as a function of N.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -63,16 +64,48 @@ MEASURES = {
 MEASURE_KINDS = tuple(MEASURES)
 
 
-def validate_density_matrix(rho: np.ndarray, tol: float = DENSITY_TOL) -> np.ndarray:
-    """Hermitian within tol, unit trace within tol, spectrum >= -tol."""
+class CheckedState(NamedTuple):
+    """A density matrix validated and decomposed once.
+
+    rho is the hermitized matrix, values its ascending spectrum clamped to
+    >= 0 with eigenvector columns vectors, and factor the square-root factor
+    b = V sqrt(lambda), so that rho = b b^dag. The measures, fidelity and
+    family fit accept one in place of a raw matrix and then neither validate
+    nor decompose it again.
+    """
+
+    rho: np.ndarray
+    values: np.ndarray
+    vectors: np.ndarray
+    factor: np.ndarray
+
+    @classmethod
+    def from_spectrum(cls, values: np.ndarray, vectors: np.ndarray) -> "CheckedState":
+        """The state V diag(values) V^dag of a non-negative unit-sum spectrum."""
+        rho = (vectors * values) @ vectors.conj().T
+        return cls(0.5 * (rho + rho.conj().T), values, vectors,
+                   vectors * np.sqrt(values))
+
+
+def check_state(rho, tol: float = DENSITY_TOL) -> CheckedState:
+    """Validate a density matrix as validate_density_matrix does, keeping its
+    one eigendecomposition; a CheckedState passes through unchanged."""
+    if isinstance(rho, CheckedState):
+        return rho
     rho = matcore.require_hermitian(rho, tol)
     if rho.shape != (4, 4):
         raise DomainError(f"expected a 4x4 density matrix, got shape {rho.shape}")
     tr = np.trace(rho).real
     if abs(tr - 1.0) > tol:
         raise DomainError(f"trace {tr!r} deviates from 1 beyond {tol:g}")
-    matcore.clamp_psd_spectrum(matcore.hermitian_eig(rho).values, tol=tol)
-    return rho
+    values, vectors = np.linalg.eigh(rho)
+    values = matcore.clamp_psd_spectrum(values, tol=tol)
+    return CheckedState(rho, values, vectors, vectors * np.sqrt(values))
+
+
+def validate_density_matrix(rho: np.ndarray, tol: float = DENSITY_TOL) -> np.ndarray:
+    """Hermitian within tol, unit trace within tol, spectrum >= -tol."""
+    return check_state(rho, tol).rho
 
 
 def _family_matrix(p: float, q: float) -> np.ndarray:
@@ -117,9 +150,10 @@ def _sqrt_spectrum(values: np.ndarray, tol: float = 1e-8) -> np.ndarray:
     return np.sqrt(vals)
 
 
-def _pt_trace_norm(rho: np.ndarray) -> float:
-    """||rho^{T_A}||_1 of a validated state."""
-    return matcore.trace_norm(matcore.partial_transpose_a(rho))
+def _pt_trace_norm(state: CheckedState) -> float:
+    """||rho^{T_A}||_1, the sum of |eigenvalues| of the (exactly Hermitian)
+    partial transpose of a checked state."""
+    return float(np.sum(np.abs(np.linalg.eigvalsh(matcore.partial_transpose_a(state.rho)))))
 
 
 def _negativity_from_tn(tn: float) -> float:
@@ -130,9 +164,9 @@ def _log_negativity_from_tn(tn: float) -> float:
     return float(np.log2(np.clip(tn, 1.0, 2.0)))
 
 
-def negativity(rho: np.ndarray) -> float:
+def negativity(rho: np.ndarray | CheckedState) -> float:
     """N(rho) = ||rho^{T_A}||_1 - 1, clamped to [0, 1]."""
-    return _negativity_from_tn(_pt_trace_norm(validate_density_matrix(rho)))
+    return _negativity_from_tn(_pt_trace_norm(check_state(rho)))
 
 
 def negativity_closed(p, q: float):
@@ -140,9 +174,9 @@ def negativity_closed(p, q: float):
     return 2.0 * p * np.sqrt(q * (1.0 - q))
 
 
-def log_negativity(rho: np.ndarray) -> float:
+def log_negativity(rho: np.ndarray | CheckedState) -> float:
     """L(rho) = log2 ||rho^{T_A}||_1, clamped to [0, 1]."""
-    return _log_negativity_from_tn(_pt_trace_norm(validate_density_matrix(rho)))
+    return _log_negativity_from_tn(_pt_trace_norm(check_state(rho)))
 
 
 def log_negativity_closed(p: float, q: float) -> float:
@@ -150,25 +184,28 @@ def log_negativity_closed(p: float, q: float) -> float:
     return float(np.log2(1.0 + negativity_closed(p, q)))
 
 
-def concurrence(rho: np.ndarray) -> float:
+def concurrence(rho: np.ndarray | CheckedState) -> float:
     """Wootters concurrence max(0, l1 - l2 - l3 - l4).
 
     The l_i are the descending eigenvalues of
     R = sqrt(sqrt(rho) rho~ sqrt(rho)) with the spin-flipped
     rho~ = (sy x sy) rho* (sy x sy).
     """
-    return _concurrence(validate_density_matrix(rho))
+    return _concurrence(check_state(rho))
 
 
-def _concurrence(rho: np.ndarray) -> float:
-    """Concurrence of a validated state."""
-    yy = matcore.kron(matcore.SIGMA_Y, matcore.SIGMA_Y)
-    flipped = yy @ rho.conj() @ yy
-    root = matcore.psd_sqrt(rho)
-    inner = root @ flipped @ root
-    lam = _sqrt_spectrum(matcore.hermitian_eig(inner).values)
-    lam = np.sort(lam)[::-1]
-    return float(np.clip(lam[0] - lam[1] - lam[2] - lam[3], 0.0, 1.0))
+_YY = matcore.kron(matcore.SIGMA_Y, matcore.SIGMA_Y)
+_YY.setflags(write=False)
+
+
+def _concurrence(state: CheckedState) -> float:
+    """Concurrence of a checked state. With sqrt(rho) = V b^dag,
+    sqrt(rho) rho~ sqrt(rho) = V (b^dag rho~ b) V^dag, so the l_i are the
+    square roots of the spectrum of b^dag rho~ b."""
+    b = state.factor
+    inner = b.conj().T @ (_YY @ state.rho.conj() @ _YY) @ b
+    lam = _sqrt_spectrum(np.linalg.eigvalsh(inner))  # ascending
+    return float(np.clip(lam[3] - lam[2] - lam[1] - lam[0], 0.0, 1.0))
 
 
 def concurrence_closed(p: float, q: float) -> float:
@@ -176,7 +213,7 @@ def concurrence_closed(p: float, q: float) -> float:
     return negativity_closed(p, q)
 
 
-def qgd(rho: np.ndarray) -> float:
+def qgd(rho: np.ndarray | CheckedState) -> float:
     """Geometric discord via the family relation Q = N^2 / 2.
 
     Valid on (and near) the state family this package studies; it is not a
@@ -191,27 +228,30 @@ def qgd_closed(p: float, q: float) -> float:
     return float(0.5 * n * n)
 
 
-def measures(rho: np.ndarray) -> dict[str, float]:
+def measures(rho: np.ndarray | CheckedState) -> dict[str, float]:
     """All four measure values of a state, from one validation and one
     partial-transpose trace norm."""
-    rho = validate_density_matrix(rho)
-    tn = _pt_trace_norm(rho)
+    state = check_state(rho)
+    tn = _pt_trace_norm(state)
     n = _negativity_from_tn(tn)
     return {
         NEGATIVITY: n,
         LOG_NEGATIVITY: _log_negativity_from_tn(tn),
-        CONCURRENCE: _concurrence(rho),
+        CONCURRENCE: _concurrence(state),
         QGD: float(MEASURES[QGD].from_n(n)),
     }
 
 
-def fidelity(rho_a: np.ndarray, rho_b: np.ndarray) -> float:
-    """Uhlmann fidelity F = Tr sqrt(sqrt(a) b sqrt(a)), clamped to [0, 1]."""
-    rho_a = validate_density_matrix(rho_a)
-    rho_b = validate_density_matrix(rho_b)
-    root = matcore.psd_sqrt(rho_a)
-    inner = root @ rho_b @ root
-    return float(np.clip(np.sum(_sqrt_spectrum(matcore.hermitian_eig(inner).values)), 0.0, 1.0))
+def fidelity(rho_a: np.ndarray | CheckedState, rho_b: np.ndarray | CheckedState) -> float:
+    """Uhlmann fidelity F = Tr sqrt(sqrt(a) b sqrt(a)), clamped to [0, 1].
+
+    With the factor b_a of a, sqrt(a) b sqrt(a) = V_a (b_a^dag b b_a) V_a^dag,
+    so F is the sum of the square roots of the spectrum of b_a^dag b b_a.
+    """
+    a = check_state(rho_a)
+    b = check_state(rho_b)
+    inner = a.factor.conj().T @ b.rho @ a.factor
+    return float(np.clip(np.sum(_sqrt_spectrum(np.linalg.eigvalsh(inner))), 0.0, 1.0))
 
 
 # --- family fitting -----------------------------------------------------------
@@ -247,15 +287,7 @@ def _fit_terms(rho: np.ndarray) -> tuple[float, float, complex, float]:
     return d1, d2, c, k
 
 
-def _objective(d1: float, d2: float, c: complex, k: float, p, q):
-    s = np.sqrt(q * (1.0 - q))
-    f1 = 0.5 + p * (q - 0.5)
-    f2 = 0.5 + p * (0.5 - q)
-    off = -p * s
-    return (d1 - f1) ** 2 + (d2 - f2) ** 2 + 2.0 * ((c.real - off) ** 2 + c.imag ** 2) + k
-
-
-def fit_family_params(rho: np.ndarray) -> FamilyFit:
+def fit_family_params(rho: np.ndarray | CheckedState) -> FamilyFit:
     """Project a density matrix onto the family by least squares, in closed form.
 
     With x = p (2q - 1) and y = 2 p sqrt(q (1 - q)), the squared Frobenius
@@ -265,20 +297,24 @@ def fit_family_params(rho: np.ndarray) -> FamilyFit:
     disk: a point below the axis drops onto the diameter, a point outside the
     circle is scaled onto the arc. Then p = r = ||(x, y)|| and
     q = (1 + x / r) / 2.
-    """
-    rho = validate_density_matrix(rho)
-    d1, d2, c, k = _fit_terms(rho)
 
-    x, y = d1 - d2, -2.0 * c.real
-    if y < 0.0:
-        x, y = float(np.clip(x, -1.0, 1.0)), 0.0
+    The residual is taken in the (x, y) plane, where the squared distance is
+    1/2 ||(x, y) - target||^2 + 1/2 (d1 + d2 - 1)^2 + 2 (Im c)^2 + K; going
+    back through sqrt(q) would turn the round-off in q into ~1e-11 near
+    q = 0 and 1.
+    """
+    d1, d2, c, k = _fit_terms(check_state(rho).rho)
+
+    x_t, y_t = d1 - d2, -2.0 * c.real
+    x, y = (float(np.clip(x_t, -1.0, 1.0)), 0.0) if y_t < 0.0 else (x_t, y_t)
     r = float(np.hypot(x, y))
     if r > 1.0:
-        x, r = x / r, 1.0
+        x, y, r = x / r, y / r, 1.0
     p_hat = r
     q_hat = float(np.clip(0.5 * (1.0 + x / r), 0.0, 1.0)) if r > 0.0 else 0.5
 
-    residual = float(np.sqrt(max(0.0, _objective(d1, d2, c, k, p_hat, q_hat))))
+    residual = math.sqrt(max(0.0, 0.5 * ((x - x_t) ** 2 + (y - y_t) ** 2)
+                                  + 0.5 * (d1 + d2 - 1.0) ** 2 + 2.0 * c.imag ** 2 + k))
     degenerate = p_hat < DEGENERATE_P
     if degenerate:
         q_hat = 0.5

@@ -13,8 +13,14 @@ reconstructors are provided:
   every step; a cycle that is not uphill falls back to the R step diluted
   toward the identity. One reported iteration is one SQUAREM cycle.
 
-The design matrix and projector rows of a settings list are built once and
-shared read-only by every reconstruction.
+The design matrix, its pseudo-inverse and the projector rows of a settings
+list are built once and shared read-only by every reconstruction.
+
+Eigensolve budget per state (np.linalg.eigh / eigvalsh calls):
+simulate_tomography 1 (validating rho), reconstruct_mle 2 (the start and the
+reported minimum eigenvalue), tomo_report 5, so a simulate -> MLE -> report
+pass makes 8. A state is projected once into a states.CheckedState, whose
+single eigendecomposition the fidelity, measures and family fit then share.
 """
 from __future__ import annotations
 
@@ -73,12 +79,12 @@ def simulate_tomography(rho: np.ndarray, n_per_setting: int,
                         stream: RandomStream) -> TomoDataset:
     """Sample every standard setting n_per_setting times, advancing one stream.
 
-    rho is validated once; the nine multinomial draws follow the settings order.
+    rho is validated once; the nine multinomial draws follow the settings
+    order in one call, bit for bit the nine sequential draw_counts records.
     """
     probs = _standard_probabilities(rho)
-    rows = [measurement.draw_counts(row, n_per_setting, stream).as_array()
-            for row in probs]
-    return TomoDataset(standard_settings(), np.array(rows))
+    return TomoDataset(standard_settings(),
+                       measurement.draw_count_rows(probs, n_per_setting, stream))
 
 
 def exact_dataset(rho: np.ndarray, n_per_setting: float = 1.0) -> TomoDataset:
@@ -137,12 +143,15 @@ class _Design(NamedTuple):
 
     Row x of proj_rows is vec(P_x), so w @ proj_rows = vec(sum_x w_x P_x);
     row x of design is vec(P_x^T), so design @ vec(rho) = Tr(rho P_x);
-    real_design is design applied to the Hermitian basis (real by hermiticity).
+    real_design is design applied to the Hermitian basis (real by hermiticity)
+    and inverse its (16, 4 * n_settings) pseudo-inverse, the least-squares map
+    from frequencies to Hermitian-basis coefficients.
     """
 
     proj_rows: np.ndarray
     design: np.ndarray
     real_design: np.ndarray
+    inverse: np.ndarray
 
 
 def _hermitian_basis() -> np.ndarray:
@@ -164,8 +173,9 @@ def _design(settings: tuple[measurement.Setting, ...]) -> _Design:
     """Constant matrices of a settings list, built once per distinct tuple."""
     projs = np.concatenate([measurement.setting_projectors(s) for s in settings])
     design = projs.transpose(0, 2, 1).reshape(-1, 16)
-    parts = _Design(projs.reshape(-1, 16), design,
-                    (design @ _HERM_BASIS.reshape(16, 16).T).real)
+    real_design = (design @ _HERM_BASIS.reshape(16, 16).T).real
+    parts = _Design(projs.reshape(-1, 16), design, real_design,
+                    np.linalg.pinv(real_design))
     for a in parts:
         a.setflags(write=False)
     return parts
@@ -191,14 +201,20 @@ def project_physical(rho: np.ndarray) -> np.ndarray:
     Valid states pass through unchanged. This is not the Frobenius-nearest
     density matrix, which subtracts one common shift from the spectrum before
     clipping (Smolin, Gambetta and Smith, PRL 108, 070502 (2012)).
+    One Hermitian check and one eigensolve; physical_state keeps both.
     """
-    rho = matcore.require_hermitian(rho, tol=1e-8)
-    eig = matcore.hermitian_eig(rho)
-    vals = np.clip(eig.values, 0.0, None)
-    if vals.sum() <= 0.0:
+    return physical_state(rho).rho
+
+
+def physical_state(rho: np.ndarray) -> states.CheckedState:
+    """project_physical as a states.CheckedState: the clipped, renormalised
+    spectrum and eigenvectors of its one eigensolve, and the factor they give."""
+    values, vectors = np.linalg.eigh(matcore.require_hermitian(rho, tol=1e-8))
+    values = np.clip(values, 0.0, None)
+    total = values.sum()
+    if total <= 0.0:
         raise DomainError("state projection collapsed to zero")
-    vals /= vals.sum()
-    return (eig.vectors * vals) @ eig.vectors.conj().T
+    return states.CheckedState.from_spectrum(values / total, vectors)
 
 
 def _log_likelihood(counts: np.ndarray, probs: np.ndarray) -> float:
@@ -207,9 +223,8 @@ def _log_likelihood(counts: np.ndarray, probs: np.ndarray) -> float:
 
 def _linear_inversion(dataset: TomoDataset) -> np.ndarray:
     """Hermitian unit-trace least-squares estimate; not necessarily PSD."""
-    design = _design(tuple(dataset.settings))
     freqs = (dataset.counts / dataset.n_per_setting[:, None]).ravel()
-    coeffs, *_ = np.linalg.lstsq(design.real_design, freqs, rcond=None)
+    coeffs = _design(tuple(dataset.settings)).inverse @ freqs
     rho = (coeffs @ _HERM_BASIS.reshape(16, 16)).reshape(4, 4)
     rho = 0.5 * (rho + rho.conj().T)
     rho /= np.trace(rho).real
@@ -364,7 +379,15 @@ class TomoReport:
 
 
 def tomo_report(rho_true: np.ndarray, recon: Reconstruction) -> TomoReport:
-    rho_hat = project_physical(recon.rho_hat)
+    """Fidelity of the projected reconstruction to rho_true, its family fit
+    and its measures.
+
+    Five eigensolves and two Hermitian checks: the projection and the
+    validation of rho_true make one of each, then the fidelity, the
+    partial-transpose trace norm and the concurrence one eigensolve each;
+    the fit needs none.
+    """
+    rho_hat = physical_state(recon.rho_hat)
     return TomoReport(
         fidelity=states.fidelity(rho_true, rho_hat),
         fit=states.fit_family_params(rho_hat),

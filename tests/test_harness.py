@@ -287,3 +287,25 @@ class TestStddevScaling:
                   if s.kind == states.NEGATIVITY and s.variant == "optimal")
         scaled = st.stddev * np.sqrt(cfg.n_shots)
         assert scaled == pytest.approx(0.8, rel=0.25)
+
+
+def test_fit_p_makes_four_eigensolves(eigensolves):
+    # simulate validates rho, the MLE makes two, the projection one; the fit none
+    cfg = small_config()
+    for point, p in enumerate(cfg.p_grid):
+        eigensolves.clear()
+        harness._fit_p(cfg, p, point)
+        assert 0 < len(eigensolves) <= 4
+
+
+@pytest.mark.parametrize("q", [0.1, 0.2, 0.3, 0.35, 0.7])
+def test_quantum_bound_is_exactly_zero_at_the_pure_endpoint(q):
+    # 4q(1-q) - N^2 as a difference of rounded squares wrote 1.12e-08 for
+    # log-negativity at q = 0.3, p = 1
+    rows = harness.run_sweep(small_config(q=q, p_grid=(0.5, 1.0), repetitions=2))
+    n = states.negativity_closed(0.5, q)
+    for st in rows[0].stats:
+        dfrom = states.MEASURES[st.kind].dfrom_n(n)
+        assert st.unc_qcrb == pytest.approx(math.sqrt(4.0 * q * (1.0 - q) - n * n) * dfrom,
+                                            rel=1e-12)
+    assert [st.unc_qcrb for st in rows[1].stats] == [0.0] * len(rows[1].stats)

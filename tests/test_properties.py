@@ -4,6 +4,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from qmet import estimation, measurement, states, tomography
+from qmet.errors import DomainError
 from qmet.streams import RandomStream
 
 unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
@@ -22,6 +23,40 @@ def test_mle_is_physical_and_dominates_linear_inversion(p, q, n_per_setting, see
     assert abs(np.trace(rho_hat).real - 1.0) < 1e-12
     assert np.linalg.eigvalsh(rho_hat).min() > -1e-12
     assert rec.log_likelihood >= tomography.reconstruct_linear(ds).log_likelihood - 1e-9
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(p=st.floats(min_value=states.DEGENERATE_P + 1e-12, max_value=1.0), q=unit)
+def test_fit_inverts_family_state(p, q):
+    # p is read back to ~1e-16, so a p within that of DEGENERATE_P may fall
+    # on either side of the threshold
+    fit = states.fit_family_params(states.family_state(p, q))
+    assert abs(fit.p - p) <= 1e-12
+    assert abs(fit.q - q) <= 1e-12
+    assert fit.residual <= 1e-12
+    assert not fit.degenerate and not fit.out_of_family
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(p=unit, q=unit, n=st.integers(min_value=1, max_value=10**9),
+       seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_simulate_is_nine_sequential_draws(p, q, n, seed):
+    rho = states.family_state(p, q)
+    stream = RandomStream(seed, 5)
+    ds = tomography.simulate_tomography(rho, n, stream)
+    reference = RandomStream(seed, 5)
+    rows = [measurement.draw_counts(measurement.outcome_probabilities(rho, s).as_array(),
+                                    n, reference).as_array()
+            for s in tomography.standard_settings()]
+    np.testing.assert_array_equal(ds.counts, np.array(rows))
+    assert stream.random(2).tolist() == reference.random(2).tolist()
+
+
+@settings(max_examples=20, derandomize=True, deadline=None)
+@given(n=st.integers(min_value=-10**9, max_value=0))
+def test_simulate_rejects_fewer_than_one_shot(n):
+    with pytest.raises(DomainError):
+        tomography.simulate_tomography(states.singlet(), n, RandomStream(1))
 
 
 # --- the measure table and the quantum bound ---------------------------------

@@ -147,19 +147,11 @@ def test_measures_equal_the_single_measure_functions_bitwise():
                 == {k: v.hex() for k, v in single.items()})
 
 
-def test_measures_validates_once_and_shares_the_trace_norm(monkeypatch):
-    calls = []
-    original = matcore.hermitian_eig
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(matcore, "hermitian_eig", counted)
+def test_measures_validates_once_and_shares_the_trace_norm(eigensolves):
     for rho in _measure_inputs():
-        calls.clear()
+        eigensolves.clear()
         states.measures(rho)
-        assert len(calls) <= 5
+        assert 0 < len(eigensolves) <= 5
 
 
 # --- fidelity ---------------------------------------------------------------------
@@ -208,6 +200,64 @@ def test_fidelity_against_scipy_oracle():
         inner = scipy.linalg.fractional_matrix_power(ra @ b @ ra, 0.5)
         oracle = np.trace(inner).real
         assert abs(states.fidelity(a, b) - oracle) <= 1e-8
+
+
+# --- factor formulas against the psd_sqrt routes ---------------------------------------
+
+def psd_sqrt_fidelity(a, b):
+    """Reference: Tr sqrt(sqrt(a) b sqrt(a)) through the Hermitian square root."""
+    root = matcore.psd_sqrt(states.validate_density_matrix(a))
+    inner = root @ states.validate_density_matrix(b) @ root
+    return float(np.clip(np.sum(states._sqrt_spectrum(matcore.hermitian_eig(inner).values)),
+                         0.0, 1.0))
+
+
+def psd_sqrt_concurrence(rho):
+    """Reference: the l_i as the square roots of the spectrum of sqrt(rho) rho~ sqrt(rho)."""
+    rho = states.validate_density_matrix(rho)
+    yy = matcore.kron(matcore.SIGMA_Y, matcore.SIGMA_Y)
+    root = matcore.psd_sqrt(rho)
+    inner = root @ (yy @ rho.conj() @ yy) @ root
+    lam = np.sort(states._sqrt_spectrum(matcore.hermitian_eig(inner).values))[::-1]
+    return float(np.clip(lam[0] - lam[1] - lam[2] - lam[3], 0.0, 1.0))
+
+
+def random_rank_two():
+    vs = RNG.standard_normal((4, 2)) + 1j * RNG.standard_normal((4, 2))
+    rho = vs @ vs.conj().T
+    return rho / np.trace(rho).real
+
+
+def _oracle_inputs():
+    family = [states.family_state(p, q)
+              for p, q in ((0.3, 0.5), (0.6, 0.3), (0.9, 0.8), (1.0, 0.2))]
+    random_states = [random_rank_two() for _ in range(3)] + [random_density() for _ in range(3)]
+    noisy = [_noisy_reconstruction(states.family_state(p, q), 1000, RandomStream(seed, 7))
+             for p, q, seed in ((0.6, 0.5, 1), (1.0, 0.5, 2), (0.0, 0.5, 3), (0.8, 0.3, 4))]
+    return [states.singlet(), states.dephased_mixture()] + family + random_states + noisy
+
+
+def test_factor_formulas_match_the_psd_sqrt_routes():
+    inputs = _oracle_inputs()
+    for rho in inputs:
+        assert abs(states.concurrence(rho) - psd_sqrt_concurrence(rho)) <= 1e-12
+        assert abs(states.fidelity(rho, rho) - 1.0) <= 1e-12
+        for sigma in inputs:
+            f = states.fidelity(rho, sigma)
+            assert abs(f - psd_sqrt_fidelity(rho, sigma)) <= 1e-12
+            assert abs(f - states.fidelity(sigma, rho)) <= 1e-12
+
+
+def test_checked_state_is_validated_once_and_reused():
+    rho = states.family_state(0.6, 0.3)
+    state = states.check_state(rho)
+    assert states.check_state(state) is state
+    np.testing.assert_allclose(state.factor @ state.factor.conj().T, rho, rtol=0.0, atol=1e-15)
+    assert states.measures(state) == states.measures(rho)
+    assert states.fidelity(state, rho) == states.fidelity(rho, rho)
+    assert states.fit_family_params(state) == states.fit_family_params(rho)
+    with pytest.raises(DomainError):
+        states.check_state(np.diag([0.5, 0.5, 0.5, -0.5]).astype(complex))
 
 
 # --- family fitting ------------------------------------------------------------------

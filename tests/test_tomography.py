@@ -196,6 +196,14 @@ class TestLinearInversion:
         np.testing.assert_allclose(rec.rho_hat, rec.rho_hat.conj().T, atol=1e-12)
         assert abs(np.trace(rec.rho_hat).real - 1.0) < 1e-12
 
+    def test_cached_inverse_matches_least_squares(self):
+        design = tomography._design(tuple(tomography.standard_settings()))
+        ds = tomography.simulate_tomography(states.family_state(0.4, 0.3), 500,
+                                            RandomStream(21))
+        freqs = (ds.counts / ds.n_per_setting[:, None]).ravel()
+        coeffs, *_ = np.linalg.lstsq(design.real_design, freqs, rcond=None)
+        np.testing.assert_allclose(design.inverse @ freqs, coeffs, rtol=0.0, atol=1e-12)
+
     def test_indefinite_estimate_is_flagged(self):
         # small-n singlet data: the unconstrained estimate dips well below zero
         ds = tomography.simulate_tomography(states.singlet(), 100, RandomStream(3, 2))
@@ -263,20 +271,13 @@ class TestMLE:
             assert abs(np.trace(rho_hat).real - 1.0) < 1e-12
             assert np.linalg.eigvalsh(rho_hat).min() > -1e-12
 
-    def test_at_most_two_eigensolves(self, monkeypatch):
+    def test_at_most_two_eigensolves(self, eigensolves):
         # one for the start point, one for the reported minimum eigenvalue
-        calls = []
-        eig = matcore.hermitian_eig
-
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return eig(*args, **kwargs)
-
         ds = tomography.simulate_tomography(states.family_state(0.6, 0.5), 10**4,
                                             RandomStream(5))
-        monkeypatch.setattr(matcore, "hermitian_eig", counted)
+        eigensolves.clear()
         tomography.reconstruct_mle(ds)
-        assert len(calls) <= 2
+        assert 0 < len(eigensolves) <= 2
 
     def test_nonconvergence_is_flagged_not_raised(self):
         ds = tomography.simulate_tomography(states.singlet(), 1000, RandomStream(1))
@@ -371,3 +372,37 @@ class TestReport:
         rep = tomography.tomo_report(states.singlet(), rec)
         assert 0.0 <= rep.fidelity <= 1.0
         assert np.isfinite(rep.fit.residual)
+
+
+class TestEigensolveBudget:
+    """np.linalg.eigh / eigvalsh calls per stage; the design before the
+    checked state made 10 per report and 13 per simulate -> MLE -> report."""
+
+    REFERENCES = (states.singlet(), states.dephased_mixture(),
+                  states.family_state(0.6, 0.3))
+
+    def test_report_makes_five_eigensolves_and_two_hermitian_checks(
+            self, eigensolves, monkeypatch):
+        checks = []
+        require = matcore.require_hermitian
+
+        def counted(*args, **kwargs):
+            checks.append(1)
+            return require(*args, **kwargs)
+
+        monkeypatch.setattr(matcore, "require_hermitian", counted)
+        for k, rho in enumerate(self.REFERENCES):
+            ds = tomography.simulate_tomography(rho, 2000, RandomStream(41, k))
+            for rec in (tomography.reconstruct_mle(ds), tomography.reconstruct_linear(ds)):
+                eigensolves.clear()
+                checks.clear()
+                tomography.tomo_report(rho, rec)
+                assert 0 < len(eigensolves) <= 5
+                assert 0 < len(checks) <= 2
+
+    def test_simulate_mle_report_makes_eight(self, eigensolves):
+        for k, rho in enumerate(self.REFERENCES):
+            eigensolves.clear()
+            ds = tomography.simulate_tomography(rho, 2000, RandomStream(42, k))
+            tomography.tomo_report(rho, tomography.reconstruct_mle(ds))
+            assert 0 < len(eigensolves) <= 8
