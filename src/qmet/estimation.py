@@ -57,14 +57,6 @@ class EstimateResult:
         if self.qcrb_unc_single_shot > self.theory_unc_single_shot + 1e-12:
             raise DomainError("QCRB uncertainty exceeds the estimator theory uncertainty")
 
-    @property
-    def theory_se(self) -> float:
-        return self.theory_unc_single_shot / np.sqrt(self.n_shots)
-
-    @property
-    def qcrb_se(self) -> float:
-        return self.qcrb_unc_single_shot / np.sqrt(self.n_shots)
-
     def to_record(self) -> dict:
         return {
             "kind": self.kind,

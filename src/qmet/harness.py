@@ -200,8 +200,7 @@ def _fit_p(cfg: SweepConfig, p: float, point: int) -> float:
     stream = RandomStream(cfg.master_seed, TOMO_FLAG | point)
     dataset = tomography.simulate_tomography(rho, cfg.n_shots, stream)
     recon = tomography.reconstruct_mle(dataset)
-    fit = states.fit_family_params(tomography.physical_state(recon.rho_hat))
-    return fit.p
+    return states.fit_family_params(recon.state).p
 
 
 def run_sweep(cfg: SweepConfig) -> list[SweepRow]:
@@ -234,7 +233,8 @@ def run_sweep(cfg: SweepConfig) -> list[SweepRow]:
 
 
 def _fmt(x: float) -> str:
-    return format(float(x), ".12g")
+    # + 0.0 turns a negative zero into 0
+    return format(float(x) + 0.0, ".12g")
 
 
 def csv_text(rows: list[SweepRow], cfg: SweepConfig) -> str:

@@ -26,9 +26,12 @@ def frobenius(a: np.ndarray) -> float:
 
 
 def require_square(a: np.ndarray) -> np.ndarray:
+    """a as a complex square matrix with finite entries."""
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DomainError(f"expected a square matrix, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise DomainError("matrix has non-finite entries")
     return a
 
 

@@ -65,26 +65,24 @@ MEASURE_KINDS = tuple(MEASURES)
 
 
 class CheckedState(NamedTuple):
-    """A density matrix validated and decomposed once.
+    """A density matrix validated once, with a square-root factor.
 
-    rho is the hermitized matrix, values its ascending spectrum clamped to
-    >= 0 with eigenvector columns vectors, and factor the square-root factor
-    b = V sqrt(lambda), so that rho = b b^dag. The measures, fidelity and
-    family fit accept one in place of a raw matrix and then neither validate
-    nor decompose it again.
+    rho is the hermitized matrix and factor any b with rho = b b^dag: the
+    scaled eigenvectors V sqrt(lambda) of a validation or a projection, or
+    the maximum-likelihood factor of a reconstruction. The measures, fidelity
+    and family fit accept one in place of a raw matrix and then neither
+    validate nor decompose it again; they read only spectra of b^dag X b,
+    which are the same for every factor of rho.
     """
 
     rho: np.ndarray
-    values: np.ndarray
-    vectors: np.ndarray
     factor: np.ndarray
 
     @classmethod
-    def from_spectrum(cls, values: np.ndarray, vectors: np.ndarray) -> "CheckedState":
-        """The state V diag(values) V^dag of a non-negative unit-sum spectrum."""
-        rho = (vectors * values) @ vectors.conj().T
-        return cls(0.5 * (rho + rho.conj().T), values, vectors,
-                   vectors * np.sqrt(values))
+    def from_factor(cls, factor: np.ndarray) -> "CheckedState":
+        """The state b b^dag of a factor b with unit Frobenius norm."""
+        rho = factor @ factor.conj().T
+        return cls(0.5 * (rho + rho.conj().T), factor)
 
 
 def check_state(rho, tol: float = DENSITY_TOL) -> CheckedState:
@@ -100,7 +98,7 @@ def check_state(rho, tol: float = DENSITY_TOL) -> CheckedState:
         raise DomainError(f"trace {tr!r} deviates from 1 beyond {tol:g}")
     values, vectors = np.linalg.eigh(rho)
     values = matcore.clamp_psd_spectrum(values, tol=tol)
-    return CheckedState(rho, values, vectors, vectors * np.sqrt(values))
+    return CheckedState(rho, vectors * np.sqrt(values))
 
 
 def validate_density_matrix(rho: np.ndarray, tol: float = DENSITY_TOL) -> np.ndarray:
@@ -199,9 +197,9 @@ _YY.setflags(write=False)
 
 
 def _concurrence(state: CheckedState) -> float:
-    """Concurrence of a checked state. With sqrt(rho) = V b^dag,
-    sqrt(rho) rho~ sqrt(rho) = V (b^dag rho~ b) V^dag, so the l_i are the
-    square roots of the spectrum of b^dag rho~ b."""
+    """Concurrence of a checked state. A factor b of rho is sqrt(rho) W for
+    some partial isometry W, so b^dag rho~ b = W^dag (sqrt(rho) rho~ sqrt(rho)) W
+    has the same nonzero spectrum, and the l_i are its square roots."""
     b = state.factor
     inner = b.conj().T @ (_YY @ state.rho.conj() @ _YY) @ b
     lam = _sqrt_spectrum(np.linalg.eigvalsh(inner))  # ascending
@@ -245,8 +243,9 @@ def measures(rho: np.ndarray | CheckedState) -> dict[str, float]:
 def fidelity(rho_a: np.ndarray | CheckedState, rho_b: np.ndarray | CheckedState) -> float:
     """Uhlmann fidelity F = Tr sqrt(sqrt(a) b sqrt(a)), clamped to [0, 1].
 
-    With the factor b_a of a, sqrt(a) b sqrt(a) = V_a (b_a^dag b b_a) V_a^dag,
-    so F is the sum of the square roots of the spectrum of b_a^dag b b_a.
+    A factor b_a of a is sqrt(a) W for some partial isometry W, so
+    b_a^dag b b_a and sqrt(a) b sqrt(a) share their nonzero spectrum, and F
+    is the sum of the square roots of the spectrum of b_a^dag b b_a.
     """
     a = check_state(rho_a)
     b = check_state(rho_b)

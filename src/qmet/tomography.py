@@ -13,22 +13,21 @@ reconstructors are provided:
   every step; a cycle that is not uphill falls back to the R step diluted
   toward the identity. One reported iteration is one SQUAREM cycle.
 
-The design matrix, its pseudo-inverse and the projector rows of a settings
-list are built once and shared read-only by every reconstruction.
+The design matrix, its pseudo-inverse and the projector rows of the nine
+settings are built once at import and shared read-only by every
+reconstruction.
 
 Eigensolve budget per state (np.linalg.eigh / eigvalsh calls):
-simulate_tomography 1 (validating rho), reconstruct_mle 2 (the start and the
-reported minimum eigenvalue), tomo_report 5, so a simulate -> MLE -> report
-pass makes 8. A state is projected once into a states.CheckedState, whose
-single eigendecomposition the fidelity, measures and family fit then share.
+simulate_tomography 1 (validating rho), reconstruct_mle 1 (the start),
+reconstruct_linear 1, tomo_report 4, so a simulate -> MLE -> report pass
+makes 6. Each reconstruction carries its physical state as a
+states.CheckedState, which the report reads without decomposing it again.
 """
 from __future__ import annotations
 
-import functools
 import itertools
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -51,20 +50,20 @@ def standard_settings() -> list[measurement.Setting]:
 
 @dataclass
 class TomoDataset:
-    """Counts for a list of settings; rows follow the settings order.
+    """(9, 4) counts of the standard settings, rows in standard_settings() order.
 
-    counts rows are non-negative reals: integers for measured data, possibly
+    counts are finite non-negative reals: integers for measured data, possibly
     fractional for exact-probability (infinite-shot) injections.
     """
 
-    settings: list[measurement.Setting]
     counts: np.ndarray
 
     def __post_init__(self):
         self.counts = np.asarray(self.counts, dtype=float)
-        if self.counts.shape != (len(self.settings), 4):
-            raise DomainError(f"counts shape {self.counts.shape} does not match "
-                              f"{len(self.settings)} settings")
+        if self.counts.shape != (9, 4):
+            raise DomainError(f"counts shape {self.counts.shape} is not (9, 4)")
+        if not np.isfinite(self.counts).all():
+            raise DomainError("non-finite counts in dataset")
         if np.any(self.counts < 0.0):
             raise DomainError("negative counts in dataset")
         if np.any(self.counts.sum(axis=1) <= 0.0):
@@ -83,68 +82,39 @@ def simulate_tomography(rho: np.ndarray, n_per_setting: int,
     order in one call, bit for bit the nine sequential draw_counts records.
     """
     probs = _standard_probabilities(rho)
-    return TomoDataset(standard_settings(),
-                       measurement.draw_count_rows(probs, n_per_setting, stream))
+    return TomoDataset(measurement.draw_count_rows(probs, n_per_setting, stream))
 
 
 def exact_dataset(rho: np.ndarray, n_per_setting: float = 1.0) -> TomoDataset:
     """Noiseless limit: probabilities scaled by n injected as fractional counts."""
-    return TomoDataset(standard_settings(), _standard_probabilities(rho) * n_per_setting)
-
-
-def dataset_to_json(dataset: TomoDataset) -> str:
-    records = []
-    for setting, row in zip(dataset.settings, dataset.counts):
-        rec = {"basis_a": setting.basis_a, "basis_b": setting.basis_b}
-        for label, v in zip(measurement.OUTCOME_LABELS, row):
-            rec[f"n_{label}"] = int(v) if float(v).is_integer() else float(v)
-        records.append(rec)
-    return json.dumps(records, indent=1)
-
-
-def dataset_from_json(text: str) -> TomoDataset:
-    try:
-        records = json.loads(text)
-        settings = [measurement.Setting(r["basis_a"], r["basis_b"]) for r in records]
-        counts = np.array([[r[f"n_{label}"] for label in measurement.OUTCOME_LABELS]
-                           for r in records], dtype=float)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DomainError(f"malformed tomography dataset: {exc}") from exc
-    return TomoDataset(settings, counts)
+    return TomoDataset(_standard_probabilities(rho) * n_per_setting)
 
 
 @dataclass
 class Reconstruction:
-    """Reconstructed state plus bookkeeping from one reconstruction run."""
+    """Reconstructed state plus bookkeeping from one reconstruction run.
+
+    state is the physical state of the estimate rho_hat, which reports read;
+    min_eigenvalue (of rho_hat) is None where rho_hat is PSD by construction.
+    """
 
     method: str
     rho_hat: np.ndarray
+    state: states.CheckedState
     log_likelihood: float
     iterations: int
     converged: bool = True
     psd_ok: bool = True
-    min_eigenvalue: float = 0.0
-    settings: list[measurement.Setting] = field(default_factory=list)
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "method": self.method,
-            "real": np.round(self.rho_hat.real, 12).tolist(),
-            "imag": np.round(self.rho_hat.imag, 12).tolist(),
-            "log_likelihood": self.log_likelihood,
-            "iterations": self.iterations,
-            "converged": self.converged,
-            "psd_ok": self.psd_ok,
-        }, indent=1)
+    min_eigenvalue: float | None = None
 
 
 class _Design(NamedTuple):
-    """Constant (4 * n_settings, 16) matrices of one settings list, read-only.
+    """Constant (36, 16) matrices of the standard settings, read-only.
 
     Row x of proj_rows is vec(P_x), so w @ proj_rows = vec(sum_x w_x P_x);
     row x of design is vec(P_x^T), so design @ vec(rho) = Tr(rho P_x);
     real_design is design applied to the Hermitian basis (real by hermiticity)
-    and inverse its (16, 4 * n_settings) pseudo-inverse, the least-squares map
+    and inverse its (16, 36) pseudo-inverse, the least-squares map
     from frequencies to Hermitian-basis coefficients.
     """
 
@@ -168,10 +138,9 @@ _HERM_BASIS = _hermitian_basis()
 _HERM_BASIS.setflags(write=False)
 
 
-@functools.lru_cache(maxsize=16)
-def _design(settings: tuple[measurement.Setting, ...]) -> _Design:
-    """Constant matrices of a settings list, built once per distinct tuple."""
-    projs = np.concatenate([measurement.setting_projectors(s) for s in settings])
+def _standard_design() -> _Design:
+    """Constant matrices of the standard settings."""
+    projs = np.concatenate([measurement.setting_projectors(s) for s in standard_settings()])
     design = projs.transpose(0, 2, 1).reshape(-1, 16)
     real_design = (design @ _HERM_BASIS.reshape(16, 16).T).real
     parts = _Design(projs.reshape(-1, 16), design, real_design,
@@ -181,7 +150,7 @@ def _design(settings: tuple[measurement.Setting, ...]) -> _Design:
     return parts
 
 
-_STANDARD = _design(tuple(standard_settings()))
+_STANDARD = _standard_design()
 
 
 def _standard_probabilities(rho: np.ndarray) -> np.ndarray:
@@ -201,20 +170,21 @@ def project_physical(rho: np.ndarray) -> np.ndarray:
     Valid states pass through unchanged. This is not the Frobenius-nearest
     density matrix, which subtracts one common shift from the spectrum before
     clipping (Smolin, Gambetta and Smith, PRL 108, 070502 (2012)).
-    One Hermitian check and one eigensolve; physical_state keeps both.
+    One Hermitian check and one eigensolve.
     """
-    return physical_state(rho).rho
+    return _projection(rho)[1].rho
 
 
-def physical_state(rho: np.ndarray) -> states.CheckedState:
-    """project_physical as a states.CheckedState: the clipped, renormalised
-    spectrum and eigenvectors of its one eigensolve, and the factor they give."""
+def _projection(rho: np.ndarray) -> tuple[float, states.CheckedState]:
+    """The minimum eigenvalue of a Hermitian estimate and its project_physical
+    state with factor V sqrt(lambda), from one eigensolve."""
     values, vectors = np.linalg.eigh(matcore.require_hermitian(rho, tol=1e-8))
+    min_eig = float(values[0])
     values = np.clip(values, 0.0, None)
     total = values.sum()
     if total <= 0.0:
         raise DomainError("state projection collapsed to zero")
-    return states.CheckedState.from_spectrum(values / total, vectors)
+    return min_eig, states.CheckedState.from_factor(vectors * np.sqrt(values / total))
 
 
 def _log_likelihood(counts: np.ndarray, probs: np.ndarray) -> float:
@@ -224,7 +194,7 @@ def _log_likelihood(counts: np.ndarray, probs: np.ndarray) -> float:
 def _linear_inversion(dataset: TomoDataset) -> np.ndarray:
     """Hermitian unit-trace least-squares estimate; not necessarily PSD."""
     freqs = (dataset.counts / dataset.n_per_setting[:, None]).ravel()
-    coeffs = _design(tuple(dataset.settings)).inverse @ freqs
+    coeffs = _STANDARD.inverse @ freqs
     rho = (coeffs @ _HERM_BASIS.reshape(16, 16)).reshape(4, 4)
     rho = 0.5 * (rho + rho.conj().T)
     rho /= np.trace(rho).real
@@ -234,17 +204,16 @@ def _linear_inversion(dataset: TomoDataset) -> np.ndarray:
 def reconstruct_linear(dataset: TomoDataset) -> Reconstruction:
     """Least-squares inversion of the projector design on empirical frequencies."""
     rho = _linear_inversion(dataset)
-    min_eig = float(np.min(matcore.hermitian_eig(rho).values))
-    probs = (_design(tuple(dataset.settings)).design @ project_physical(rho).ravel()).real
+    min_eig, state = _projection(rho)
+    probs = (_STANDARD.design @ state.rho.ravel()).real
     return Reconstruction(
         method="linear_inversion",
         rho_hat=rho,
+        state=state,
         log_likelihood=_log_likelihood(dataset.counts, probs),
         iterations=0,
-        converged=True,
         psd_ok=min_eig >= LI_PSD_TOL,
         min_eigenvalue=min_eig,
-        settings=list(dataset.settings),
     )
 
 
@@ -275,8 +244,9 @@ def reconstruct_mle(dataset: TomoDataset, max_sweeps: int = MAX_SWEEPS,
     fit has converged. Converged when an accepted cycle gains less than
     ll_tol in log-likelihood; flagged otherwise after max_sweeps cycles.
     ``iterations`` counts cycles, each of two or three evaluations of F.
+    The state is returned as the final factor a, PSD with unit trace by
+    construction, so min_eigenvalue is None.
     """
-    design = _design(tuple(dataset.settings))
     counts = dataset.counts.ravel()
     n_total = counts.sum()
 
@@ -290,10 +260,10 @@ def reconstruct_mle(dataset: TomoDataset, max_sweeps: int = MAX_SWEEPS,
     del eig, vals
 
     def probabilities(a: np.ndarray) -> np.ndarray:
-        return np.maximum((design.design @ (a @ a.conj().T).ravel()).real, PROB_FLOOR)
+        return np.maximum((_STANDARD.design @ (a @ a.conj().T).ravel()).real, PROB_FLOOR)
 
     def r_times(a: np.ndarray, probs: np.ndarray) -> np.ndarray:
-        return ((counts / probs) @ design.proj_rows).reshape(4, 4) @ a
+        return ((counts / probs) @ _STANDARD.proj_rows).reshape(4, 4) @ a
 
     def normalised(b: np.ndarray) -> np.ndarray:
         return b / math.sqrt(np.vdot(b, b).real)
@@ -354,18 +324,14 @@ def reconstruct_mle(dataset: TomoDataset, max_sweeps: int = MAX_SWEEPS,
             converged = True
             break
         ra = r_times(a, p_best)
-    rho = a @ a.conj().T
-    rho = 0.5 * (rho + rho.conj().T)
-    rho /= rho.trace().real
+    state = states.CheckedState.from_factor(a)
     return Reconstruction(
         method="mle",
-        rho_hat=rho,
+        rho_hat=state.rho,
+        state=state,
         log_likelihood=ll_ref + f_cur,
         iterations=iterations,
         converged=converged,
-        psd_ok=True,
-        min_eigenvalue=float(np.min(matcore.hermitian_eig(rho).values)),
-        settings=list(dataset.settings),
     )
 
 
@@ -379,15 +345,15 @@ class TomoReport:
 
 
 def tomo_report(rho_true: np.ndarray, recon: Reconstruction) -> TomoReport:
-    """Fidelity of the projected reconstruction to rho_true, its family fit
-    and its measures.
+    """Fidelity of the reconstruction's physical state to rho_true, its
+    family fit and its measures.
 
-    Five eigensolves and two Hermitian checks: the projection and the
-    validation of rho_true make one of each, then the fidelity, the
-    partial-transpose trace norm and the concurrence one eigensolve each;
-    the fit needs none.
+    Four eigensolves and one Hermitian check: the validation of rho_true
+    makes one of each, then the fidelity, the partial-transpose trace norm
+    and the concurrence one eigensolve each; the state recon carries is
+    neither checked nor decomposed again, and the fit needs none.
     """
-    rho_hat = physical_state(recon.rho_hat)
+    rho_hat = recon.state
     return TomoReport(
         fidelity=states.fidelity(rho_true, rho_hat),
         fit=states.fit_family_params(rho_hat),

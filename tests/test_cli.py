@@ -188,6 +188,15 @@ class TestSweep:
         assert ((tmp_path / "a" / "sweep.csv").read_bytes()
                 == (tmp_path / "b" / "sweep.csv").read_bytes())
 
+    def test_negative_zero_grid_point_writes_zero(self, capsys, tmp_path):
+        code, _ = run_main(capsys, ["sweep", "--p-grid=-0,0.5", "--reps", "2",
+                                    "--n-shots", "100", "--out-dir", str(tmp_path)])
+        assert code == 0
+        rows = [line.split(",") for line in
+                (tmp_path / "sweep.csv").read_text().splitlines()[1:7]]
+        assert {(row[0], row[6]) for row in rows} == {("0", "0")}
+        assert "-0," not in (tmp_path / "sweep.csv").read_text()
+
     def test_missing_config_file(self, capsys):
         assert cli.main(["sweep", "--config", "/nonexistent.cfg"]) == 2
 

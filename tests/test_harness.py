@@ -289,13 +289,14 @@ class TestStddevScaling:
         assert scaled == pytest.approx(0.8, rel=0.25)
 
 
-def test_fit_p_makes_four_eigensolves(eigensolves):
-    # simulate validates rho, the MLE makes two, the projection one; the fit none
+def test_fit_p_makes_two_eigensolves(eigensolves):
+    # simulate validates rho and the MLE start makes one; the MLE's state
+    # goes to the fit, which needs none
     cfg = small_config()
     for point, p in enumerate(cfg.p_grid):
         eigensolves.clear()
         harness._fit_p(cfg, p, point)
-        assert 0 < len(eigensolves) <= 4
+        assert 0 < len(eigensolves) <= 2
 
 
 @pytest.mark.parametrize("q", [0.1, 0.2, 0.3, 0.35, 0.7])

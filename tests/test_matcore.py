@@ -76,6 +76,17 @@ def test_hermitian_eig_rejects_non_hermitian():
         matcore.hermitian_eig(a)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, complex(0.0, np.nan)])
+def test_require_square_rejects_non_finite_entries(value):
+    # a NaN deviation passes every "> tol" check
+    a = np.eye(4, dtype=complex)
+    a[2, 2] = value
+    with pytest.raises(DomainError):
+        matcore.require_square(a)
+    with pytest.raises(DomainError):
+        matcore.hermitian_eig(a)
+
+
 # --- trace norm: oracle route is numpy.linalg.svd -------------------------
 
 @pytest.mark.parametrize("trial", range(10))

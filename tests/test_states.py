@@ -64,6 +64,15 @@ def test_validate_density_matrix_rejects_bad_inputs():
         states.validate_density_matrix(np.diag([0.5, 0.5, 0.5, 0.5]) * 1.2)
 
 
+def test_validate_density_matrix_rejects_non_finite_entries():
+    # a NaN diagonal entry passes the hermiticity, trace and spectrum checks,
+    # and an all-NaN matrix reached LAPACK
+    with pytest.raises(DomainError):
+        states.validate_density_matrix(np.diag([np.nan, 0.0, 0.0, 1.0]))
+    with pytest.raises(DomainError):
+        states.validate_density_matrix(np.full((4, 4), np.nan))
+
+
 # --- measures vs closed forms ---------------------------------------------------
 
 def test_negativity_frozen_points():

@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -20,7 +19,7 @@ def plain_rrr_mle(dataset: tomography.TomoDataset) -> np.ndarray:
     rho <- R rho R / Tr(...) and dilutes R toward the identity whenever a step
     is not uphill; stops when a step gains less than 1e-12.
     """
-    design = tomography._design(tuple(dataset.settings))
+    design = tomography._STANDARD
     counts = dataset.counts.ravel()
     n_total = counts.sum()
     eye = np.eye(4, dtype=complex)
@@ -73,7 +72,7 @@ def log_likelihood_gain(dataset: tomography.TomoDataset, rho: np.ndarray,
     by one ulp does not shift the result by N * 2e-16 (about 1.6e-9 at
     7.2e6 counts), which the absolute log-likelihood cannot resolve.
     """
-    design = tomography._design(tuple(dataset.settings))
+    design = tomography._STANDARD
 
     def setting_probs(rho):
         p = np.maximum((design.design @ rho.ravel()).real, tomography.PROB_FLOOR)
@@ -101,7 +100,7 @@ class TestSettings:
 
     def test_design_spans_hermitian_space(self):
         # rank oracle: numpy SVD-based matrix_rank on the 36x16 design
-        design = tomography._design(tuple(tomography.standard_settings())).design
+        design = tomography._STANDARD.design
         assert np.linalg.matrix_rank(design) == 16
 
 
@@ -141,39 +140,31 @@ class TestDataset:
         rho = states.family_state(0.37, 0.83)
         n = 10**5
         ds = tomography.simulate_tomography(rho, n, RandomStream(21, 9))
-        for setting, row in zip(ds.settings, ds.counts):
+        for setting, row in zip(tomography.standard_settings(), ds.counts):
             probs = measurement.outcome_probabilities(rho, setting).as_array()
             sigma = np.sqrt(probs * (1 - probs) / n)
             assert np.all(np.abs(row / n - probs) <= 5 * sigma + 1e-12)
 
     def test_validation_rejects_bad_shapes_and_values(self):
-        settings = tomography.standard_settings()
         good = np.ones((9, 4))
         with pytest.raises(DomainError):
-            tomography.TomoDataset(settings, np.ones((8, 4)))
+            tomography.TomoDataset(np.ones((8, 4)))
         bad = good.copy()
         bad[2, 1] = -1.0
         with pytest.raises(DomainError):
-            tomography.TomoDataset(settings, bad)
+            tomography.TomoDataset(bad)
         bad = good.copy()
         bad[4] = 0.0
         with pytest.raises(DomainError):
-            tomography.TomoDataset(settings, bad)
+            tomography.TomoDataset(bad)
 
-    def test_json_round_trip(self):
-        ds = tomography.simulate_tomography(states.singlet(), 300, RandomStream(2))
-        text = tomography.dataset_to_json(ds)
-        back = tomography.dataset_from_json(text)
-        np.testing.assert_array_equal(back.counts, ds.counts)
-        assert [s.label() for s in back.settings] == [s.label() for s in ds.settings]
-        # counts serialize as plain integers for measured data
-        assert isinstance(json.loads(text)[0]["n_pp"], int)
-
-    def test_json_malformed_rejected(self):
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_validation_rejects_non_finite_counts(self, value):
+        # a NaN passes every "< 0" and "<= 0" check, and an inf row sums > 0
+        bad = np.ones((9, 4))
+        bad[3, 2] = value
         with pytest.raises(DomainError):
-            tomography.dataset_from_json('[{"basis_a": "HV"}]')
-        with pytest.raises(DomainError):
-            tomography.dataset_from_json('{"not": "a list"}')
+            tomography.TomoDataset(bad)
 
 
 class TestLinearInversion:
@@ -197,7 +188,7 @@ class TestLinearInversion:
         assert abs(np.trace(rec.rho_hat).real - 1.0) < 1e-12
 
     def test_cached_inverse_matches_least_squares(self):
-        design = tomography._design(tuple(tomography.standard_settings()))
+        design = tomography._STANDARD
         ds = tomography.simulate_tomography(states.family_state(0.4, 0.3), 500,
                                             RandomStream(21))
         freqs = (ds.counts / ds.n_per_setting[:, None]).ravel()
@@ -210,6 +201,16 @@ class TestLinearInversion:
         rec = tomography.reconstruct_linear(ds)
         assert rec.min_eigenvalue < -1e-6
         assert not rec.psd_ok
+
+    def test_one_eigensolve_gives_the_minimum_and_the_projection(self, eigensolves):
+        ds = tomography.simulate_tomography(states.singlet(), 100, RandomStream(3, 2))
+        eigensolves.clear()
+        rec = tomography.reconstruct_linear(ds)
+        assert len(eigensolves) == 1
+        assert rec.min_eigenvalue == pytest.approx(np.linalg.eigvalsh(rec.rho_hat)[0],
+                                                   rel=0.0, abs=1e-15)
+        np.testing.assert_allclose(rec.state.rho, tomography.project_physical(rec.rho_hat),
+                                   rtol=0.0, atol=1e-15)
 
 
 class TestMLE:
@@ -271,13 +272,14 @@ class TestMLE:
             assert abs(np.trace(rho_hat).real - 1.0) < 1e-12
             assert np.linalg.eigvalsh(rho_hat).min() > -1e-12
 
-    def test_at_most_two_eigensolves(self, eigensolves):
-        # one for the start point, one for the reported minimum eigenvalue
+    def test_makes_one_eigensolve(self, eigensolves):
+        # the start point; the output is PSD by construction and not decomposed
         ds = tomography.simulate_tomography(states.family_state(0.6, 0.5), 10**4,
                                             RandomStream(5))
         eigensolves.clear()
-        tomography.reconstruct_mle(ds)
-        assert 0 < len(eigensolves) <= 2
+        rec = tomography.reconstruct_mle(ds)
+        assert len(eigensolves) == 1
+        assert rec.min_eigenvalue is None
 
     def test_nonconvergence_is_flagged_not_raised(self):
         ds = tomography.simulate_tomography(states.singlet(), 1000, RandomStream(1))
@@ -298,31 +300,10 @@ class TestMLE:
             means.append(np.mean(fids))
         assert all(b >= a for a, b in zip(means, means[1:]))
 
-    def test_settings_order_does_not_change_the_estimate(self):
-        ds = tomography.simulate_tomography(states.family_state(0.4, 0.3), 2000,
-                                            RandomStream(12))
-        flipped = tomography.TomoDataset(ds.settings[::-1], ds.counts[::-1])
-        a = tomography.reconstruct_mle(ds)
-        b = tomography.reconstruct_mle(flipped)
-        assert trace_distance(a.rho_hat, b.rho_hat) < 1e-6
-        assert abs(a.log_likelihood - b.log_likelihood) < 1e-6
-
     def test_design_matrices_are_shared_read_only(self):
-        settings = tuple(tomography.standard_settings())
-        parts = tomography._design(settings)
-        assert parts is tomography._design(settings)
-        for matrix in parts:
+        for matrix in tomography._STANDARD:
             with pytest.raises(ValueError):
                 matrix[0, 0] = 0.0
-
-    def test_reconstruction_json_export(self):
-        ds = tomography.simulate_tomography(states.singlet(), 500, RandomStream(9))
-        rec = tomography.reconstruct_mle(ds)
-        blob = json.loads(rec.to_json())
-        assert blob["method"] == "mle"
-        assert np.array(blob["real"]).shape == (4, 4)
-        assert np.array(blob["imag"]).shape == (4, 4)
-        assert blob["converged"] is True
 
 
 class TestProjection:
@@ -375,13 +356,13 @@ class TestReport:
 
 
 class TestEigensolveBudget:
-    """np.linalg.eigh / eigvalsh calls per stage; the design before the
-    checked state made 10 per report and 13 per simulate -> MLE -> report."""
+    """np.linalg.eigh / eigvalsh calls per stage: the report reads the state
+    the reconstruction carries and decomposes it no further."""
 
     REFERENCES = (states.singlet(), states.dephased_mixture(),
                   states.family_state(0.6, 0.3))
 
-    def test_report_makes_five_eigensolves_and_two_hermitian_checks(
+    def test_report_makes_four_eigensolves_and_one_hermitian_check(
             self, eigensolves, monkeypatch):
         checks = []
         require = matcore.require_hermitian
@@ -397,12 +378,46 @@ class TestEigensolveBudget:
                 eigensolves.clear()
                 checks.clear()
                 tomography.tomo_report(rho, rec)
-                assert 0 < len(eigensolves) <= 5
-                assert 0 < len(checks) <= 2
+                assert 0 < len(eigensolves) <= 4
+                assert 0 < len(checks) <= 1
 
-    def test_simulate_mle_report_makes_eight(self, eigensolves):
+    def test_simulate_mle_report_makes_six(self, eigensolves):
         for k, rho in enumerate(self.REFERENCES):
             eigensolves.clear()
             ds = tomography.simulate_tomography(rho, 2000, RandomStream(42, k))
             tomography.tomo_report(rho, tomography.reconstruct_mle(ds))
-            assert 0 < len(eigensolves) <= 8
+            assert 0 < len(eigensolves) <= 6
+
+
+def reprojected_state(rho: np.ndarray) -> states.CheckedState:
+    """Reference: the estimate projected again and checked, with the factor
+    V sqrt(lambda) of its clipped, renormalised spectrum."""
+    values, vectors = np.linalg.eigh(matcore.require_hermitian(rho, tol=1e-8))
+    values = np.clip(values, 0.0, None)
+    values /= values.sum()
+    proj = (vectors * values) @ vectors.conj().T
+    return states.CheckedState(0.5 * (proj + proj.conj().T), vectors * np.sqrt(values))
+
+
+@pytest.mark.parametrize("label", ["singlet", "dephased", "family"])
+def test_report_on_the_mle_factor_matches_the_reprojected_state(label):
+    rho = {"singlet": states.singlet(),
+           "dephased": states.dephased_mixture(),
+           "family": states.family_state(0.6, 0.3)}[label]
+    datasets = [tomography.simulate_tomography(rho, shots, RandomStream(seed, shots))
+                for shots in (100, 10**4, 10**6) for seed in range(3)]
+    datasets.append(tomography.exact_dataset(rho, 10**4))
+    for ds in datasets:
+        rec = tomography.reconstruct_mle(ds)
+        factor = rec.state.factor
+        np.testing.assert_allclose(factor @ factor.conj().T, rec.state.rho,
+                                   rtol=0.0, atol=1e-15)
+        np.testing.assert_array_equal(rec.rho_hat, rec.state.rho)
+        got = tomography.tomo_report(rho, rec)
+        ref = reprojected_state(rec.rho_hat)
+        assert got.fidelity == pytest.approx(states.fidelity(rho, ref), rel=0.0, abs=1e-12)
+        fit = states.fit_family_params(ref)
+        assert (got.fit.p, got.fit.q, got.fit.residual) == pytest.approx(
+            (fit.p, fit.q, fit.residual), rel=0.0, abs=1e-12)
+        for kind, value in states.measures(ref).items():
+            assert got.measures[kind] == pytest.approx(value, rel=0.0, abs=1e-12)
