@@ -199,10 +199,12 @@ _YY.setflags(write=False)
 def _concurrence(state: CheckedState) -> float:
     """Concurrence of a checked state. A factor b of rho is sqrt(rho) W for
     some partial isometry W, so b^dag rho~ b = W^dag (sqrt(rho) rho~ sqrt(rho)) W
-    has the same nonzero spectrum, and the l_i are its square roots."""
+    has the same nonzero spectrum, and the l_i are its square roots. A factor
+    with r < 4 columns gives r of them; the other 4 - r are zero."""
     b = state.factor
     inner = b.conj().T @ (_YY @ state.rho.conj() @ _YY) @ b
     lam = _sqrt_spectrum(np.linalg.eigvalsh(inner))  # ascending
+    lam = np.concatenate([np.zeros(4 - lam.size), lam])
     return float(np.clip(lam[3] - lam[2] - lam[1] - lam[0], 0.0, 1.0))
 
 

@@ -8,20 +8,26 @@ reconstructors are provided:
   frequencies. Exact on exact data but not guaranteed PSD (flagged).
 * maximum likelihood: the multiplicative R rho R fixed-point iteration run on
   a square-root factor a of the state (rho = a a^dag), accelerated by squared
-  extrapolation (SQUAREM) and started from the projected linear-inversion
-  state. Every iterate is a congruence a a^dag, so PSD and unit trace hold at
-  every step; a cycle that is not uphill falls back to the R step diluted
-  toward the identity. One reported iteration is one SQUAREM cycle.
+  extrapolation (SQUAREM). The factor has the estimate's own rank: it starts
+  from the linear-inversion eigenvectors above that estimate's noise floor
+  (the magnitude of its most negative eigenvalue), and a stop below full
+  rank is accepted only under the KKT condition R / N <= I, certified by a
+  Cholesky factorisation; otherwise the top eigenvector of R joins the
+  factor and the ascent goes on. Every iterate is a congruence a a^dag, so
+  PSD and unit trace hold at every step; a cycle that is not uphill falls
+  back to the R step diluted toward the identity. One reported iteration is
+  one SQUAREM cycle.
 
 The design matrix, its pseudo-inverse and the projector rows of the nine
 settings are built once at import and shared read-only by every
 reconstruction.
 
 Eigensolve budget per state (np.linalg.eigh / eigvalsh calls):
-simulate_tomography 1 (validating rho), reconstruct_mle 1 (the start),
-reconstruct_linear 1, tomo_report 4, so a simulate -> MLE -> report pass
-makes 6. Each reconstruction carries its physical state as a
-states.CheckedState, which the report reads without decomposing it again.
+simulate_tomography 1 (validating rho), reconstruct_mle 1 (the start) plus
+1 per rank growth, reconstruct_linear 1, tomo_report 4, so a
+simulate -> MLE -> report pass makes 6 when the MLE does not grow its rank.
+Each reconstruction carries its physical state as a states.CheckedState,
+which the report reads without decomposing it again.
 """
 from __future__ import annotations
 
@@ -38,6 +44,8 @@ from .streams import RandomStream
 
 PROB_FLOOR = 1e-12
 LL_TOL = 1e-10
+KKT_TOL = 1e-6
+GROWTH_WEIGHT = 1e-3
 MAX_SWEEPS = 5000
 LI_PSD_TOL = -1e-6
 
@@ -219,18 +227,19 @@ def reconstruct_linear(dataset: TomoDataset) -> Reconstruction:
 
 # --- MLE ---------------------------------------------------------------------
 
-START_SMOOTHING = 1e-3
-
-
 def reconstruct_mle(dataset: TomoDataset, max_sweeps: int = MAX_SWEEPS,
                     ll_tol: float = LL_TOL) -> Reconstruction:
-    """Maximum-likelihood state by SQUAREM-accelerated R rho R ascent.
+    """Maximum-likelihood state by SQUAREM-accelerated R rho R ascent on a
+    factor of the estimate's own rank.
 
-    The state is carried as a factor a with rho = a a^dag and Tr(a a^dag) = 1.
-    With R = sum_x (n_x / p_x) P_x, the map F(a) = R a / ||R a||_F is the
-    R rho R / Tr(...) fixed-point update, whose fixed points are the
-    stationary points of the multinomial log-likelihood. The start is the
-    linear-inversion state clipped to its PSD part and smoothed toward I/4.
+    The state is carried as a 4 x r factor a with rho = a a^dag and
+    Tr(a a^dag) = 1. With R = sum_x (n_x / p_x) P_x, the map
+    F(a) = R a / ||R a||_F is the R rho R / Tr(...) fixed-point update, whose
+    fixed points are the stationary points of the multinomial log-likelihood
+    over states of rank at most r. The start is the linear-inversion
+    estimate's eigenvectors whose eigenvalues exceed the magnitude of its most
+    negative eigenvalue, its own noise floor, scaled to unit trace: r is read
+    from the data.
 
     One iteration is one SQUAREM cycle (Varadhan and Roland, Scand. J. Stat.
     35, 335 (2008)): a1 = F(a), a2 = F(a1), r = a1 - a, v = a2 - a1 - r and
@@ -240,30 +249,40 @@ def reconstruct_mle(dataset: TomoDataset, max_sweeps: int = MAX_SWEEPS,
     and unit trace hold by construction. If neither candidate beats the
     current likelihood, the cycle takes the diluted step
     ((1 - eps) I + eps R / N) a, normalised, with eps halving from 0.5
-    (Rehacek et al., PRA 75, 042108 (2007)); if no eps > 1e-6 is uphill the
-    fit has converged. Converged when an accepted cycle gains less than
-    ll_tol in log-likelihood; flagged otherwise after max_sweeps cycles.
-    ``iterations`` counts cycles, each of two or three evaluations of F.
-    The state is returned as the final factor a, PSD with unit trace by
-    construction, so min_eigenvalue is None.
+    (Rehacek et al., PRA 75, 042108 (2007)).
+
+    A cycle that gains less than ll_tol, or a dilution with no uphill
+    eps > 1e-6, ends the ascent on the current rank. At full rank that is
+    convergence. Below it, the state is the maximum only if it meets the KKT
+    condition R / N <= I of the same paper; lambda_max(R / N) <= 1 + KKT_TOL
+    is certified by a Cholesky factorisation, with no eigensolve. If the
+    certificate fails, the top eigenvector of R, the steepest uphill
+    direction off the current support, joins the factor as a new column of
+    weight GROWTH_WEIGHT and the ascent goes on. So a reconstruction makes
+    one eigensolve (the start) plus one per rank growth. Flagged as not
+    converged after max_sweeps cycles. ``iterations`` counts cycles, each of
+    two or three evaluations of F. The state is returned as the final
+    factor a, PSD with unit trace by construction, so min_eigenvalue is None.
     """
     counts = dataset.counts.ravel()
     n_total = counts.sum()
 
-    # the clipped spectrum sums to at least 1: the estimate has unit trace
+    # the spectrum sums to 1, so its top eigenvalue is at least 1/4 > 0
     eig = matcore.hermitian_eig(_linear_inversion(dataset))
-    vals = np.clip(eig.values, 0.0, None)
-    # full-rank start: the multiplicative update cannot grow the rank,
-    # so a rank-deficient start with misaligned support could never leave it
-    a = eig.vectors * np.sqrt((1.0 - START_SMOOTHING) * vals / vals.sum()
-                              + START_SMOOTHING / 4.0)
-    del eig, vals
+    rank = max(1, int(np.count_nonzero(eig.values > -eig.values[0])))
+    top = eig.values[4 - rank:]
+    a = eig.vectors[:, 4 - rank:] * np.sqrt(top / top.sum())
+    del eig, top
 
     def probabilities(a: np.ndarray) -> np.ndarray:
         return np.maximum((_STANDARD.design @ (a @ a.conj().T).ravel()).real, PROB_FLOOR)
 
+    def operator(weights: np.ndarray) -> np.ndarray:
+        """sum_x weights_x P_x"""
+        return (weights @ _STANDARD.proj_rows).reshape(4, 4)
+
     def r_times(a: np.ndarray, probs: np.ndarray) -> np.ndarray:
-        return ((counts / probs) @ _STANDARD.proj_rows).reshape(4, 4) @ a
+        return operator(counts / probs) @ a
 
     def normalised(b: np.ndarray) -> np.ndarray:
         return b / math.sqrt(np.vdot(b, b).real)
@@ -316,13 +335,35 @@ def reconstruct_mle(dataset: TomoDataset, max_sweeps: int = MAX_SWEEPS,
                     break
                 eps *= 0.5
             else:
-                converged = True
-                break
+                # stalled: stay, which gains nothing
+                best, p_best, f_best = a, probabilities(a), f_cur
+        del ra
         gain = f_best - f_cur
         a, f_cur = best, f_best
-        if gain < ll_tol:
+        if gain >= ll_tol:
+            ra = r_times(a, p_best)
+            continue
+        # stationary on the current rank, which at full rank is the maximum
+        if a.shape[1] == 4:
             converged = True
             break
+        # the 36 projectors sum to 9 I, so (1 + KKT_TOL) I - R / N is one
+        # more weighted sum of them
+        slack = operator((1.0 + KKT_TOL) / 9.0 - counts / (n_total * p_best))
+        try:
+            np.linalg.cholesky(slack)
+        except np.linalg.LinAlgError:
+            pass
+        else:
+            converged = True
+            break
+        # the lowest eigenvector of the slack is the top one of R
+        top = np.linalg.eigh(slack)[1][:, :1]
+        a = np.concatenate([math.sqrt(1.0 - GROWTH_WEIGHT) * a,
+                            math.sqrt(GROWTH_WEIGHT) * top], axis=1)
+        del slack, top
+        p_best = probabilities(a)
+        f_cur = ll(p_best)
         ra = r_times(a, p_best)
     state = states.CheckedState.from_factor(a)
     return Reconstruction(

@@ -25,6 +25,22 @@ def test_mle_is_physical_and_dominates_linear_inversion(p, q, n_per_setting, see
     assert rec.log_likelihood >= tomography.reconstruct_linear(ds).log_likelihood - 1e-9
 
 
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(p=unit, q=unit, n_per_setting=st.integers(min_value=20, max_value=10**5),
+       seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_converged_mle_meets_the_kkt_condition(p, q, n_per_setting, seed):
+    # the maximum of the likelihood over states satisfies R / N <= I
+    ds = tomography.simulate_tomography(states.family_state(p, q), n_per_setting,
+                                        RandomStream(seed))
+    rec = tomography.reconstruct_mle(ds)
+    assert rec.converged
+    counts = ds.counts.ravel()
+    design = tomography._STANDARD
+    probs = np.maximum((design.design @ rec.rho_hat.ravel()).real, tomography.PROB_FLOOR)
+    r = ((counts / probs) @ design.proj_rows).reshape(4, 4)
+    assert np.linalg.eigvalsh(r / counts.sum())[-1] <= 1.0 + tomography.KKT_TOL
+
+
 @settings(max_examples=200, derandomize=True, deadline=None)
 @given(p=st.floats(min_value=states.DEGENERATE_P + 1e-12, max_value=1.0), q=unit)
 def test_fit_inverts_family_state(p, q):

@@ -269,6 +269,42 @@ def test_checked_state_is_validated_once_and_reused():
         states.check_state(np.diag([0.5, 0.5, 0.5, -0.5]).astype(complex))
 
 
+def _low_rank_states():
+    rng = np.random.default_rng(9203)
+    vs = rng.standard_normal((2, 4, 2)) + 1j * rng.standard_normal((2, 4, 2))
+    rank_one = [states.singlet(), states.family_state(1.0, 0.3),
+                np.outer(vs[0, :, 0], vs[0, :, 0].conj()) / np.vdot(vs[0, :, 0], vs[0, :, 0]).real]
+    rank_two = [states.dephased_mixture(), states.family_state(0.6, 0.3),
+                vs[1] @ vs[1].conj().T / np.vdot(vs[1], vs[1]).real]
+    return [(rho, 1) for rho in rank_one] + [(rho, 2) for rho in rank_two]
+
+
+@pytest.mark.parametrize("rho,rank", _low_rank_states(),
+                         ids=["singlet", "pure-0.3", "random-pure",
+                              "dephased", "family-0.6-0.3", "random-rank-two"])
+def test_thin_factor_gives_the_full_factor_values(rho, rank):
+    # a CheckedState holds any b with rho = b b^dag, including a 4 x rank one:
+    # the top eigenvectors, or those mixed by a unitary
+    full = states.check_state(rho)
+    top = full.factor[:, 4 - rank:]
+    unitary = np.linalg.qr(np.arange(1.0, rank * rank + 1).reshape(rank, rank)
+                           + 1j * np.eye(rank))[0]
+    references = (states.singlet(), states.family_state(0.6, 0.3), states.family_state(0.9, 0.8))
+    for factor in (top, top @ unitary):
+        thin = states.CheckedState.from_factor(factor)
+        np.testing.assert_allclose(thin.rho, full.rho, rtol=0.0, atol=1e-12)
+        for kind, value in states.measures(full).items():
+            assert states.measures(thin)[kind] == pytest.approx(value, rel=0.0, abs=1e-12)
+        fit, ref = states.fit_family_params(thin), states.fit_family_params(full)
+        assert (fit.p, fit.q, fit.residual) == pytest.approx((ref.p, ref.q, ref.residual),
+                                                             rel=0.0, abs=1e-12)
+        for sigma in references:
+            assert states.fidelity(thin, sigma) == pytest.approx(
+                states.fidelity(full, sigma), rel=0.0, abs=1e-12)
+            assert states.fidelity(sigma, thin) == pytest.approx(
+                states.fidelity(sigma, full), rel=0.0, abs=1e-12)
+
+
 # --- family fitting ------------------------------------------------------------------
 
 def test_fit_round_trips_on_grid():
