@@ -38,7 +38,6 @@ from .measurement import (
     DA_DA,
     OUTCOME_LABELS,
     OutcomeCounts,
-    OutcomeProbabilities,
     Setting,
     mix_counts,
     outcome_probabilities,
@@ -87,7 +86,7 @@ __all__ = [
     "SweepConfig", "SweepRow", "build_config",
     "emit_all", "emit_csv", "emit_svg", "run_sweep",
     "DA_DA", "OUTCOME_LABELS",
-    "OutcomeCounts", "OutcomeProbabilities", "Setting",
+    "OutcomeCounts", "Setting",
     "mix_counts", "outcome_probabilities", "sample_counts",
     "setting_projectors",
     "CONCURRENCE", "LOG_NEGATIVITY", "MEASURE_KINDS", "NEGATIVITY", "QGD",

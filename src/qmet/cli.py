@@ -75,7 +75,7 @@ def cmd_probe(args) -> int:
     rho = states.family_state(args.p, args.q)
     probs = measurement.outcome_probabilities(rho, measurement.DA_DA)
     lines = [f"DA,DA outcome probabilities at p={args.p:g}, q={args.q:g}"]
-    for label, value in zip(measurement.OUTCOME_LABELS, probs.as_array()):
+    for label, value in zip(measurement.OUTCOME_LABELS, probs):
         lines.append(f"  {label}: {value:.9f}")
     _print("\n".join(lines))
     return 0
@@ -98,7 +98,9 @@ def cmd_estimate(args) -> int:
             record = json.loads(data)
         except ValueError as exc:  # malformed JSON or not UTF-8/16/32 text
             raise ConfigError(f"{args.counts} is not a JSON counts record: {exc}") from exc
-        counts, _ = measurement.counts_from_record(record)
+        counts, setting = measurement.counts_from_record(record)
+        if setting != measurement.DA_DA:
+            raise DomainError(f"estimate needs DA,DA counts, got {setting.label()}")
     else:
         missing = [name for name, value in
                    (("--p", args.p), ("--n", args.n)) if value is None]
@@ -142,7 +144,8 @@ def cmd_sweep(args) -> int:
 
 def cmd_tomo(args) -> int:
     seed = _seed_fallback(args.seed)
-    rho = states.family_state(args.p, args.q)
+    # checked once for both the draw and the report's fidelity
+    rho = states.check_state(states.family_state(args.p, args.q))
     dataset = tomography.simulate_tomography(rho, args.n_per_setting,
                                              RandomStream(seed))
     recon = tomography.reconstruct_mle(dataset)

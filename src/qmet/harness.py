@@ -186,7 +186,7 @@ def _draw_point(cfg: SweepConfig, p: float, point: int) -> np.ndarray:
                                              _run_indices(cfg, point, slot))
 
     def da(rho: np.ndarray) -> np.ndarray:
-        return measurement.outcome_probabilities(rho, measurement.DA_DA).as_array()
+        return measurement.outcome_probabilities(rho, measurement.DA_DA)
 
     if cfg.mixing_mode == DIRECT_STATE:
         return draw(SLOT_DIRECT, da(states.family_state(p, cfg.q)))

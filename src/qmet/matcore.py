@@ -52,9 +52,9 @@ class HermitianEigen:
     vectors: np.ndarray
 
 
-def hermitian_eig(a: np.ndarray, tol: float = HERMITICITY_TOL) -> HermitianEigen:
+def hermitian_eig(a: np.ndarray) -> HermitianEigen:
     """Full eigensystem of a Hermitian matrix (LAPACK ``eigh``), values ascending."""
-    values, vectors = np.linalg.eigh(require_hermitian(a, tol))
+    values, vectors = np.linalg.eigh(require_hermitian(a))
     return HermitianEigen(values, vectors)
 
 

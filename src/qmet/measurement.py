@@ -57,7 +57,7 @@ class Setting:
 
     @staticmethod
     def from_label(label: str) -> "Setting":
-        parts = label.split(",")
+        parts = label.split(",") if isinstance(label, str) else ()
         if len(parts) != 2:
             raise DomainError(f"bad setting label {label!r}")
         return Setting(parts[0].strip().upper(), parts[1].strip().upper())
@@ -65,39 +65,36 @@ class Setting:
 
 DA_DA = Setting(DA, DA)
 
+# the nine settings of the tomography design, in (HV, DA, RL) x (HV, DA, RL) order
+SETTINGS = tuple(Setting(a, b) for a in BASES for b in BASES)
 
-def _all_projectors() -> dict[Setting, np.ndarray]:
-    kets = np.array([basis_kets(b) for b in BASES])  # (basis, sign, 2)
-    joint = np.einsum("asi,btj->abstij", kets, kets).reshape(3, 3, 4, 4)
-    projs = np.einsum("abxi,abxj->abxij", joint, joint.conj())
+
+def _outer(kets: np.ndarray) -> np.ndarray:
+    """|k><k| of each ket on the last axis."""
+    projs = np.einsum("...i,...j->...ij", kets, kets.conj())
     projs.setflags(write=False)
-    return {Setting(a, b): projs[i, j]
-            for i, a in enumerate(BASES) for j, b in enumerate(BASES)}
+    return projs
 
 
-# all nine settings, built once: every caller shares these read-only arrays
-_PROJECTORS = _all_projectors()
+_BASIS_KETS = np.array([basis_kets(b) for b in BASES])  # (basis, sign, 2)
+
+# (basis, sign, 2, 2): the single-qubit projectors (I +- sigma) / 2
+QUBIT_PROJECTORS = _outer(_BASIS_KETS)
+
+# (9, 4, 4, 4): the four joint projectors of each setting, rows in SETTINGS
+# order, outcomes (++, +-, -+, --); built once and shared read-only
+PROJECTORS = _outer(np.einsum("asi,btj->abstij", _BASIS_KETS, _BASIS_KETS)
+                    .reshape(9, 4, 4))
+
+_SETTING_PROJECTORS = dict(zip(SETTINGS, PROJECTORS))
 
 
 def setting_projectors(setting: Setting) -> np.ndarray:
     """Four rank-1 joint projectors of a setting, ordered (++, +-, -+, --).
 
-    Returned as a read-only (4, 4, 4) array shared by all callers.
+    Returned as a read-only (4, 4, 4) view of PROJECTORS shared by all callers.
     """
-    return _PROJECTORS[setting]
-
-
-@dataclass
-class OutcomeProbabilities:
-    """Joint outcome probabilities of one setting."""
-
-    p_pp: float
-    p_pm: float
-    p_mp: float
-    p_mm: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.p_pp, self.p_pm, self.p_mp, self.p_mm])
+    return _SETTING_PROJECTORS[setting]
 
 
 @dataclass
@@ -125,15 +122,23 @@ class OutcomeCounts:
         return int(self.n_pp + self.n_pm + self.n_mp + self.n_mm)
 
 
-def outcome_probabilities(rho: np.ndarray, setting: Setting) -> OutcomeProbabilities:
-    """p_x = Tr(rho P_x) for the four joint projectors of a setting."""
+def probabilities(rho: np.ndarray | states.CheckedState) -> np.ndarray:
+    """(9, 4) outcome probabilities p_x = Tr(rho P_x), rows in SETTINGS order.
+
+    rho is validated, unless it is a states.CheckedState; each row must sum
+    to 1 after clipping to [0, 1].
+    """
     rho = states.validate_density_matrix(rho)
-    probs = np.clip(np.einsum("ij,xji->x", rho, setting_projectors(setting)).real,
-                    0.0, 1.0)
-    total = probs.sum()
-    if abs(total - 1.0) > 1e-10:
-        raise DomainError(f"setting probabilities sum to {total!r}")
-    return OutcomeProbabilities(*(float(v) for v in probs))
+    probs = np.clip(np.einsum("ij,axji->ax", rho, PROJECTORS).real, 0.0, 1.0)
+    totals = probs.sum(axis=1)
+    if np.any(np.abs(totals - 1.0) > 1e-10):
+        raise DomainError(f"setting probabilities sum to {totals!r}")
+    return probs
+
+
+def outcome_probabilities(rho: np.ndarray, setting: Setting) -> np.ndarray:
+    """The four outcome probabilities of one setting, its row of probabilities."""
+    return probabilities(rho)[SETTINGS.index(setting)]
 
 
 def _normalised(probs: np.ndarray) -> np.ndarray:
@@ -179,7 +184,7 @@ def draw_counts_keyed(probs: np.ndarray, n: int, master_seed: int,
 def sample_counts(rho: np.ndarray, setting: Setting, n: int,
                   stream: RandomStream) -> OutcomeCounts:
     """n multinomial shots of a setting on a state."""
-    return draw_counts(outcome_probabilities(rho, setting).as_array(), n, stream)
+    return draw_counts(outcome_probabilities(rho, setting), n, stream)
 
 
 def mixture_law(counts_pure: np.ndarray, counts_mix: np.ndarray,

@@ -85,25 +85,25 @@ class CheckedState(NamedTuple):
         return cls(0.5 * (rho + rho.conj().T), factor)
 
 
-def check_state(rho, tol: float = DENSITY_TOL) -> CheckedState:
+def check_state(rho) -> CheckedState:
     """Validate a density matrix as validate_density_matrix does, keeping its
     one eigendecomposition; a CheckedState passes through unchanged."""
     if isinstance(rho, CheckedState):
         return rho
-    rho = matcore.require_hermitian(rho, tol)
+    rho = matcore.require_hermitian(rho, DENSITY_TOL)
     if rho.shape != (4, 4):
         raise DomainError(f"expected a 4x4 density matrix, got shape {rho.shape}")
     tr = np.trace(rho).real
-    if abs(tr - 1.0) > tol:
-        raise DomainError(f"trace {tr!r} deviates from 1 beyond {tol:g}")
+    if abs(tr - 1.0) > DENSITY_TOL:
+        raise DomainError(f"trace {tr!r} deviates from 1 beyond {DENSITY_TOL:g}")
     values, vectors = np.linalg.eigh(rho)
-    values = matcore.clamp_psd_spectrum(values, tol=tol)
+    values = matcore.clamp_psd_spectrum(values, tol=DENSITY_TOL)
     return CheckedState(rho, vectors * np.sqrt(values))
 
 
-def validate_density_matrix(rho: np.ndarray, tol: float = DENSITY_TOL) -> np.ndarray:
-    """Hermitian within tol, unit trace within tol, spectrum >= -tol."""
-    return check_state(rho, tol).rho
+def validate_density_matrix(rho: np.ndarray) -> np.ndarray:
+    """Hermitian, unit trace and spectrum >= 0, each within DENSITY_TOL."""
+    return check_state(rho).rho
 
 
 def _family_matrix(p: float, q: float) -> np.ndarray:
@@ -136,13 +136,13 @@ def dephased_mixture() -> np.ndarray:
 
 # --- measures ---------------------------------------------------------------
 
-def _sqrt_spectrum(values: np.ndarray, tol: float = 1e-8) -> np.ndarray:
+def _sqrt_spectrum(values: np.ndarray) -> np.ndarray:
     """sqrt of a PSD spectrum with round-off dust zeroed first.
 
     Eigenvalues below 1e-13 of the largest are numerical zeros; taking sqrt
     of such dust would amplify ~1e-17 noise to ~1e-9 absolute error.
     """
-    vals = matcore.clamp_psd_spectrum(values, tol=tol)
+    vals = matcore.clamp_psd_spectrum(values, tol=1e-8)
     top = float(np.max(vals, initial=0.0))
     vals = np.where(vals < 1e-13 * top, 0.0, vals)
     return np.sqrt(vals)

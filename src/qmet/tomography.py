@@ -1,11 +1,14 @@
 """Two-qubit state tomography from 9 local settings (36 projectors).
 
-The setting grid is {HV, DA, RL} x {HV, DA, RL}; its 36 rank-1 projectors
+The setting grid is measurement.SETTINGS, {HV, DA, RL} x {HV, DA, RL}; its
+36 rank-1 projectors measurement.PROJECTORS, (I +- s_a) / 2 (x) (I +- s_b) / 2,
 form an (overcomplete) informationally complete design of rank 16. Two
 reconstructors are provided:
 
-* linear inversion: least squares on the design matrix applied to empirical
-  frequencies. Exact on exact data but not guaranteed PSD (flagged).
+* linear inversion: the least-squares state of the empirical frequencies f_x
+  in closed form, rho = sum_x f_x D_x over the canonical dual frame
+  D_x = (P_a - I/3) (x) (P_b - I/3) of the projectors. Exact on exact data
+  but not guaranteed PSD (flagged).
 * maximum likelihood: the multiplicative R rho R fixed-point iteration run on
   a square-root factor a of the state (rho = a a^dag), accelerated by squared
   extrapolation (SQUAREM). The factor has the estimate's own rank: it starts
@@ -18,23 +21,19 @@ reconstructors are provided:
   back to the R step diluted toward the identity. One reported iteration is
   one SQUAREM cycle.
 
-The design matrix, its pseudo-inverse and the projector rows of the nine
-settings are built once at import and shared read-only by every
-reconstruction.
-
 Eigensolve budget per state (np.linalg.eigh / eigvalsh calls):
 simulate_tomography 1 (validating rho), reconstruct_mle 1 (the start) plus
 1 per rank growth, reconstruct_linear 1, tomo_report 4, so a
 simulate -> MLE -> report pass makes 6 when the MLE does not grow its rank.
-Each reconstruction carries its physical state as a states.CheckedState,
-which the report reads without decomposing it again.
+A reference state checked once with states.check_state and passed to both
+simulate_tomography and tomo_report saves one of them. Each reconstruction
+carries its physical state as a states.CheckedState, which the report reads
+without decomposing it again.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -52,8 +51,7 @@ LI_PSD_TOL = -1e-6
 
 def standard_settings() -> list[measurement.Setting]:
     """The 9 joint settings in fixed (HV, DA, RL) x (HV, DA, RL) order."""
-    return [measurement.Setting(a, b)
-            for a in measurement.BASES for b in measurement.BASES]
+    return list(measurement.SETTINGS)
 
 
 @dataclass
@@ -82,20 +80,21 @@ class TomoDataset:
         return self.counts.sum(axis=1)
 
 
-def simulate_tomography(rho: np.ndarray, n_per_setting: int,
+def simulate_tomography(rho: np.ndarray | states.CheckedState, n_per_setting: int,
                         stream: RandomStream) -> TomoDataset:
     """Sample every standard setting n_per_setting times, advancing one stream.
 
-    rho is validated once; the nine multinomial draws follow the settings
-    order in one call, bit for bit the nine sequential draw_counts records.
+    rho is validated once, or not at all when it is a states.CheckedState;
+    the nine multinomial draws follow the settings order in one call, bit for
+    bit the nine sequential draw_counts records.
     """
-    probs = _standard_probabilities(rho)
+    probs = measurement.probabilities(rho)
     return TomoDataset(measurement.draw_count_rows(probs, n_per_setting, stream))
 
 
 def exact_dataset(rho: np.ndarray, n_per_setting: float = 1.0) -> TomoDataset:
     """Noiseless limit: probabilities scaled by n injected as fractional counts."""
-    return TomoDataset(_standard_probabilities(rho) * n_per_setting)
+    return TomoDataset(measurement.probabilities(rho) * n_per_setting)
 
 
 @dataclass
@@ -116,59 +115,17 @@ class Reconstruction:
     min_eigenvalue: float | None = None
 
 
-class _Design(NamedTuple):
-    """Constant (36, 16) matrices of the standard settings, read-only.
+# (36, 16) rows vec(D_x) of the canonical dual frame of the projectors. A
+# qubit's six projectors (I +- s_k) / 2 have the frame operator
+# X -> sum P Tr(P X), which maps I to 3 I and each s_k to itself, so the dual
+# of P is P - I/3, and the two-qubit duals are their products.
+_DUAL = measurement.QUBIT_PROJECTORS - np.eye(2) / 3.0
+_DUAL_ROWS = np.einsum("asij,btkl->abstikjl", _DUAL, _DUAL).reshape(36, 16)
+_DUAL_ROWS.setflags(write=False)
 
-    Row x of proj_rows is vec(P_x), so w @ proj_rows = vec(sum_x w_x P_x);
-    row x of design is vec(P_x^T), so design @ vec(rho) = Tr(rho P_x);
-    real_design is design applied to the Hermitian basis (real by hermiticity)
-    and inverse its (16, 36) pseudo-inverse, the least-squares map
-    from frequencies to Hermitian-basis coefficients.
-    """
-
-    proj_rows: np.ndarray
-    design: np.ndarray
-    real_design: np.ndarray
-    inverse: np.ndarray
-
-
-def _hermitian_basis() -> np.ndarray:
-    """(16, 4, 4): E_ii, then E_ij + E_ji and i (E_ji - E_ij) for each i < j."""
-    unit = np.eye(16, dtype=complex).reshape(16, 4, 4)
-    basis = [unit[5 * i] for i in range(4)]
-    for i, j in itertools.combinations(range(4), 2):
-        basis += [unit[4 * i + j] + unit[4 * j + i],
-                  1j * (unit[4 * j + i] - unit[4 * i + j])]
-    return np.array(basis)
-
-
-_HERM_BASIS = _hermitian_basis()
-_HERM_BASIS.setflags(write=False)
-
-
-def _standard_design() -> _Design:
-    """Constant matrices of the standard settings."""
-    projs = np.concatenate([measurement.setting_projectors(s) for s in standard_settings()])
-    design = projs.transpose(0, 2, 1).reshape(-1, 16)
-    real_design = (design @ _HERM_BASIS.reshape(16, 16).T).real
-    parts = _Design(projs.reshape(-1, 16), design, real_design,
-                    np.linalg.pinv(real_design))
-    for a in parts:
-        a.setflags(write=False)
-    return parts
-
-
-_STANDARD = _standard_design()
-
-
-def _standard_probabilities(rho: np.ndarray) -> np.ndarray:
-    """(9, 4) outcome probabilities of the standard settings, from one product."""
-    rho = states.validate_density_matrix(rho)
-    probs = np.clip((_STANDARD.design @ rho.ravel()).real, 0.0, 1.0).reshape(9, 4)
-    totals = probs.sum(axis=1)
-    if np.any(np.abs(totals - 1.0) > 1e-10):
-        raise DomainError(f"setting probabilities sum to {totals!r}")
-    return probs
+# row x is vec(P_x), so w @ _ROWS = vec(sum_x w_x P_x) and
+# _ROWS @ vec(rho^T) = Tr(rho P_x)
+_ROWS = measurement.PROJECTORS.reshape(36, 16)
 
 
 def project_physical(rho: np.ndarray) -> np.ndarray:
@@ -195,30 +152,24 @@ def _projection(rho: np.ndarray) -> tuple[float, states.CheckedState]:
     return min_eig, states.CheckedState.from_factor(vectors * np.sqrt(values / total))
 
 
-def _log_likelihood(counts: np.ndarray, probs: np.ndarray) -> float:
-    return float(np.sum(counts.ravel() * np.log(np.clip(probs, PROB_FLOOR, None))))
-
-
 def _linear_inversion(dataset: TomoDataset) -> np.ndarray:
-    """Hermitian unit-trace least-squares estimate; not necessarily PSD."""
+    """Hermitian unit-trace least-squares estimate sum_x f_x D_x; not
+    necessarily PSD. Each setting's frequencies sum to 1 and each dual has
+    trace 1/9, so the trace is 1."""
     freqs = (dataset.counts / dataset.n_per_setting[:, None]).ravel()
-    coeffs = _STANDARD.inverse @ freqs
-    rho = (coeffs @ _HERM_BASIS.reshape(16, 16)).reshape(4, 4)
-    rho = 0.5 * (rho + rho.conj().T)
-    rho /= np.trace(rho).real
-    return rho
+    return (freqs @ _DUAL_ROWS).reshape(4, 4)
 
 
 def reconstruct_linear(dataset: TomoDataset) -> Reconstruction:
     """Least-squares inversion of the projector design on empirical frequencies."""
     rho = _linear_inversion(dataset)
     min_eig, state = _projection(rho)
-    probs = (_STANDARD.design @ state.rho.ravel()).real
+    probs = np.clip(measurement.probabilities(state), PROB_FLOOR, None)
     return Reconstruction(
         method="linear_inversion",
         rho_hat=rho,
         state=state,
-        log_likelihood=_log_likelihood(dataset.counts, probs),
+        log_likelihood=float(np.sum(dataset.counts * np.log(probs))),
         iterations=0,
         psd_ok=min_eig >= LI_PSD_TOL,
         min_eigenvalue=min_eig,
@@ -227,8 +178,7 @@ def reconstruct_linear(dataset: TomoDataset) -> Reconstruction:
 
 # --- MLE ---------------------------------------------------------------------
 
-def reconstruct_mle(dataset: TomoDataset, max_sweeps: int = MAX_SWEEPS,
-                    ll_tol: float = LL_TOL) -> Reconstruction:
+def reconstruct_mle(dataset: TomoDataset, max_sweeps: int = MAX_SWEEPS) -> Reconstruction:
     """Maximum-likelihood state by SQUAREM-accelerated R rho R ascent on a
     factor of the estimate's own rank.
 
@@ -251,7 +201,7 @@ def reconstruct_mle(dataset: TomoDataset, max_sweeps: int = MAX_SWEEPS,
     ((1 - eps) I + eps R / N) a, normalised, with eps halving from 0.5
     (Rehacek et al., PRA 75, 042108 (2007)).
 
-    A cycle that gains less than ll_tol, or a dilution with no uphill
+    A cycle that gains less than LL_TOL, or a dilution with no uphill
     eps > 1e-6, ends the ascent on the current rank. At full rank that is
     convergence. Below it, the state is the maximum only if it meets the KKT
     condition R / N <= I of the same paper; lambda_max(R / N) <= 1 + KKT_TOL
@@ -275,11 +225,12 @@ def reconstruct_mle(dataset: TomoDataset, max_sweeps: int = MAX_SWEEPS,
     del eig, top
 
     def probabilities(a: np.ndarray) -> np.ndarray:
-        return np.maximum((_STANDARD.design @ (a @ a.conj().T).ravel()).real, PROB_FLOOR)
+        # (a a^dag)^T = a* a^T
+        return np.maximum((_ROWS @ (a.conj() @ a.T).ravel()).real, PROB_FLOOR)
 
     def operator(weights: np.ndarray) -> np.ndarray:
         """sum_x weights_x P_x"""
-        return (weights @ _STANDARD.proj_rows).reshape(4, 4)
+        return (weights @ _ROWS).reshape(4, 4)
 
     def r_times(a: np.ndarray, probs: np.ndarray) -> np.ndarray:
         return operator(counts / probs) @ a
@@ -340,7 +291,7 @@ def reconstruct_mle(dataset: TomoDataset, max_sweeps: int = MAX_SWEEPS,
         del ra
         gain = f_best - f_cur
         a, f_cur = best, f_best
-        if gain >= ll_tol:
+        if gain >= LL_TOL:
             ra = r_times(a, p_best)
             continue
         # stationary on the current rank, which at full rank is the maximum
@@ -385,14 +336,16 @@ class TomoReport:
     measures: dict[str, float]
 
 
-def tomo_report(rho_true: np.ndarray, recon: Reconstruction) -> TomoReport:
+def tomo_report(rho_true: np.ndarray | states.CheckedState,
+                recon: Reconstruction) -> TomoReport:
     """Fidelity of the reconstruction's physical state to rho_true, its
     family fit and its measures.
 
     Four eigensolves and one Hermitian check: the validation of rho_true
     makes one of each, then the fidelity, the partial-transpose trace norm
     and the concurrence one eigensolve each; the state recon carries is
-    neither checked nor decomposed again, and the fit needs none.
+    neither checked nor decomposed again, and the fit needs none. A rho_true
+    checked by states.check_state skips its validation: three eigensolves.
     """
     rho_hat = recon.state
     return TomoReport(

@@ -132,6 +132,9 @@ class TestEstimate:
         {"n_pp": 1, "n_pm": "2", "n_mp": 3, "n_mm": 4},
         {"n_pp": 1, "n_pm": 2, "n_mp": True, "n_mm": 4},
         [1, 2, 3, 4],
+        # the DA,DA estimators cannot read another setting's counts
+        {"setting": "HV,HV", "n_pp": 0, "n_pm": 500, "n_mp": 500, "n_mm": 0},
+        {"setting": 5, "n_pp": 1, "n_pm": 2, "n_mp": 3, "n_mm": 4},
     ])
     def test_non_integer_counts_are_domain_error(self, capsys, tmp_path, record):
         path = tmp_path / "counts.json"

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import xml.etree.ElementTree as ET
 
@@ -204,6 +205,36 @@ def test_batched_sweep_matches_per_record_reference(mode):
     cfg = small_config(p_grid=(0.0, 0.35, 1.0), n_shots=150, repetitions=7,
                        master_seed=-4, mixing_mode=mode, q=0.3)
     assert harness.csv_text(harness.run_sweep(cfg), cfg) == _reference_csv(cfg)
+
+
+# SHA-256 of the default sweep's CSV lines, p_fitted column dropped, joined
+# by "\n"; and p_fitted itself, which the MLE's stopping rule pins only to
+# ~1e-8 across numerically equivalent code
+DEFAULT_SWEEP_DIGESTS = {
+    harness.DIRECT_STATE:
+        "104395496505fabe3b78ad10fef088513fb10e2d75bbc64c8c97e62f551ce360",
+    harness.POST_PROCESS_MIX:
+        "854686a5eed52b4ec052cdba119a3f67a52270bd155c8cba2c42e98e62bb8813",
+}
+DEFAULT_P_FITTED = [
+    0.001368130490017272, 0.09197461423409325, 0.19469262459275832,
+    0.3004093060301538, 0.39274649370335846, 0.4883218139200293,
+    0.5894739867722947, 0.6970837780944499, 0.799272912427425,
+    0.9016807652556281, 0.9999923549122487,
+]
+
+
+@pytest.mark.parametrize("mode", harness.MIXING_MODES)
+def test_default_sweep_is_frozen(mode):
+    cfg = harness.build_config(mixing_mode=mode)
+    rows = harness.run_sweep(cfg)
+    lines = [line.split(",") for line in harness.csv_text(rows, cfg).splitlines()]
+    skip = lines[0].index("p_fitted")
+    text = "\n".join(",".join(c for j, c in enumerate(line) if j != skip)
+                     for line in lines)
+    assert hashlib.sha256(text.encode()).hexdigest() == DEFAULT_SWEEP_DIGESTS[mode]
+    np.testing.assert_allclose([row.p_fitted for row in rows], DEFAULT_P_FITTED,
+                               rtol=0.0, atol=1e-7)
 
 
 class TestEmission:

@@ -60,7 +60,7 @@ def test_setting_projectors_read_only_and_shared():
 
 def test_probabilities_singlet_da_frozen():
     probs = ms.outcome_probabilities(states.singlet(), ms.DA_DA)
-    assert np.allclose(probs.as_array(), [0.0, 0.5, 0.5, 0.0], atol=1e-12)
+    assert np.allclose(probs, [0.0, 0.5, 0.5, 0.0], atol=1e-12)
 
 
 def test_probabilities_family_da_symbolic():
@@ -70,13 +70,44 @@ def test_probabilities_family_da_symbolic():
         n = states.negativity_closed(p, q)
         probs = ms.outcome_probabilities(states.family_state(p, q), ms.DA_DA)
         expected = np.array([1 - n, 1 + n, 1 + n, 1 - n]) / 4.0
-        assert np.allclose(probs.as_array(), expected, atol=1e-12)
+        assert np.allclose(probs, expected, atol=1e-12)
 
 
 def test_probabilities_family_hv_is_flat_in_p():
     for p in (0.0, 0.3, 0.9):
         probs = ms.outcome_probabilities(states.family_state(p, 0.5), ms.Setting("HV", "HV"))
-        assert np.allclose(probs.as_array(), [0.0, 0.5, 0.5, 0.0], atol=1e-12)
+        assert np.allclose(probs, [0.0, 0.5, 0.5, 0.0], atol=1e-12)
+
+
+def test_outcome_probabilities_are_rows_of_the_table():
+    # one Tr(rho P) formula: each setting's four values are its row, bit for bit
+    for _ in range(5):
+        g = RNG.standard_normal((4, 4)) + 1j * RNG.standard_normal((4, 4))
+        rho = g @ g.conj().T
+        rho /= np.trace(rho).real
+        table = ms.probabilities(rho)
+        assert table.shape == (9, 4)
+        for i, setting in enumerate(ms.SETTINGS):
+            np.testing.assert_array_equal(ms.outcome_probabilities(rho, setting), table[i])
+
+
+def test_projector_table_is_read_only_and_holds_the_setting_projectors():
+    assert ms.PROJECTORS.shape == (9, 4, 4, 4)
+    for table in (ms.PROJECTORS, ms.QUBIT_PROJECTORS):
+        with pytest.raises(ValueError):
+            table[0, 0, 0, 0] = 5.0
+    for i, setting in enumerate(ms.SETTINGS):
+        projs = ms.setting_projectors(setting)
+        assert np.shares_memory(projs, ms.PROJECTORS)
+        np.testing.assert_array_equal(projs, ms.PROJECTORS[i])
+    # the joint projectors are products of the single-qubit ones
+    for a, ba in enumerate(ms.BASES):
+        for b, bb in enumerate(ms.BASES):
+            projs = ms.setting_projectors(ms.Setting(ba, bb))
+            for x, (s, t) in enumerate(((0, 0), (0, 1), (1, 0), (1, 1))):
+                np.testing.assert_allclose(
+                    projs[x], np.kron(ms.QUBIT_PROJECTORS[a, s], ms.QUBIT_PROJECTORS[b, t]),
+                    rtol=0.0, atol=1e-15)
 
 
 def test_probabilities_sum_to_one_random_states():
@@ -87,8 +118,8 @@ def test_probabilities_sum_to_one_random_states():
         for ba in ms.BASES:
             for bb in ms.BASES:
                 probs = ms.outcome_probabilities(rho, ms.Setting(ba, bb))
-                assert abs(probs.as_array().sum() - 1.0) <= 1e-10
-                assert np.all(probs.as_array() >= 0.0)
+                assert abs(probs.sum() - 1.0) <= 1e-10
+                assert np.all(probs >= 0.0)
 
 
 # --- sampling ----------------------------------------------------------------------
@@ -107,7 +138,7 @@ def test_sample_counts_moments_5_sigma():
     rho = states.family_state(0.6, 0.5)
     n = 1_000_000
     counts = ms.sample_counts(rho, ms.DA_DA, n, RandomStream(2024, 0))
-    probs = ms.outcome_probabilities(rho, ms.DA_DA).as_array()
+    probs = ms.outcome_probabilities(rho, ms.DA_DA)
     freqs = counts.as_array() / n
     for f, p in zip(freqs, probs):
         sigma = np.sqrt(p * (1 - p) / n)
@@ -122,7 +153,7 @@ def test_sample_counts_cost_does_not_grow_with_shots():
     elapsed = time.perf_counter() - start
     assert counts.n == n
     assert elapsed < 0.25, f"{elapsed:.3f}s for 1e9 shots"
-    probs = ms.outcome_probabilities(rho, ms.DA_DA).as_array()
+    probs = ms.outcome_probabilities(rho, ms.DA_DA)
     sigma = np.sqrt(probs * (1 - probs) / n)
     assert np.all(np.abs(counts.as_array() / n - probs) <= 5 * sigma)
 
@@ -223,7 +254,7 @@ def test_mix_counts_rejects_bad_inputs():
 
 def test_draw_counts_keyed_rows_match_draw_counts():
     # one unnormalized law row for every draw, as the sweep passes it
-    probs = ms.outcome_probabilities(states.family_state(0.7, 0.3), ms.DA_DA).as_array()
+    probs = ms.outcome_probabilities(states.family_state(0.7, 0.3), ms.DA_DA)
     probs = probs * (1.0 + 3e-12)
     indices = [(4 * 9 + rep) * 8 for rep in range(9)]
     rows = ms.draw_counts_keyed(probs, 300, 5, indices)
@@ -237,8 +268,8 @@ def test_keyed_mixture_batch_matches_mix_counts():
     # the PostProcessMix path: pure and mix batches, then one select draw per
     # record with its own law row
     n, p = 400, 0.35
-    pure_probs = ms.outcome_probabilities(states.singlet(), ms.DA_DA).as_array()
-    mix_probs = ms.outcome_probabilities(states.dephased_mixture(), ms.DA_DA).as_array()
+    pure_probs = ms.outcome_probabilities(states.singlet(), ms.DA_DA)
+    mix_probs = ms.outcome_probabilities(states.dephased_mixture(), ms.DA_DA)
     reps = range(12)
     pure = ms.draw_counts_keyed(pure_probs, n, 8, [4 * r + 1 for r in reps])
     mix = ms.draw_counts_keyed(mix_probs, n, 8, [4 * r + 2 for r in reps])

@@ -35,9 +35,9 @@ def test_converged_mle_meets_the_kkt_condition(p, q, n_per_setting, seed):
     rec = tomography.reconstruct_mle(ds)
     assert rec.converged
     counts = ds.counts.ravel()
-    design = tomography._STANDARD
-    probs = np.maximum((design.design @ rec.rho_hat.ravel()).real, tomography.PROB_FLOOR)
-    r = ((counts / probs) @ design.proj_rows).reshape(4, 4)
+    rows = measurement.PROJECTORS.reshape(36, 16)  # row x is vec(P_x)
+    probs = np.maximum((rows.conj() @ rec.rho_hat.ravel()).real, tomography.PROB_FLOOR)
+    r = ((counts / probs) @ rows).reshape(4, 4)
     assert np.linalg.eigvalsh(r / counts.sum())[-1] <= 1.0 + tomography.KKT_TOL
 
 
@@ -61,7 +61,7 @@ def test_simulate_is_nine_sequential_draws(p, q, n, seed):
     stream = RandomStream(seed, 5)
     ds = tomography.simulate_tomography(rho, n, stream)
     reference = RandomStream(seed, 5)
-    rows = [measurement.draw_counts(measurement.outcome_probabilities(rho, s).as_array(),
+    rows = [measurement.draw_counts(measurement.outcome_probabilities(rho, s),
                                     n, reference).as_array()
             for s in tomography.standard_settings()]
     np.testing.assert_array_equal(ds.counts, np.array(rows))

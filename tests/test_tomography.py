@@ -8,6 +8,16 @@ from qmet.errors import DomainError
 from qmet.streams import RandomStream
 
 
+# row x is vec(P_x) of the 36 projectors; as P_x is Hermitian, row x of its
+# conjugate is vec(P_x^T)
+ROWS = measurement.PROJECTORS.reshape(36, 16)
+
+
+def design_probabilities(rho: np.ndarray) -> np.ndarray:
+    """Tr(rho P_x) of the 36 projectors, for any 4x4 rho."""
+    return (ROWS.conj() @ rho.ravel()).real
+
+
 def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
     return 0.5 * float(np.abs(np.linalg.eigvalsh(a - b)).sum())
 
@@ -20,7 +30,6 @@ def plain_rrr_mle(dataset: tomography.TomoDataset) -> np.ndarray:
     rho <- R rho R / Tr(...) and dilutes R toward the identity whenever a step
     is not uphill; stops when a step gains less than 1e-12.
     """
-    design = tomography._STANDARD
     counts = dataset.counts.ravel()
     n_total = counts.sum()
     eye = np.eye(4, dtype=complex)
@@ -29,7 +38,7 @@ def plain_rrr_mle(dataset: tomography.TomoDataset) -> np.ndarray:
     rho = (1.0 - s) * start + s * eye / 4.0
 
     def probabilities(rho):
-        return np.maximum((design.design @ rho.ravel()).real, tomography.PROB_FLOOR)
+        return np.maximum(design_probabilities(rho), tomography.PROB_FLOOR)
 
     p_ref = probabilities(rho)
 
@@ -45,7 +54,7 @@ def plain_rrr_mle(dataset: tomography.TomoDataset) -> np.ndarray:
     probs = p_ref
     f_cur = ll(probs)
     for _ in range(tomography.MAX_SWEEPS):
-        r = ((counts / probs) @ design.proj_rows).reshape(4, 4) / n_total
+        r = ((counts / probs) @ ROWS).reshape(4, 4) / n_total
         cand, p_try = stepped(rho, r)
         f_try = ll(p_try)
         if f_try <= f_cur:
@@ -73,10 +82,8 @@ def log_likelihood_gain(dataset: tomography.TomoDataset, rho: np.ndarray,
     by one ulp does not shift the result by N * 2e-16 (about 1.6e-9 at
     7.2e6 counts), which the absolute log-likelihood cannot resolve.
     """
-    design = tomography._STANDARD
-
     def setting_probs(rho):
-        p = np.maximum((design.design @ rho.ravel()).real, tomography.PROB_FLOOR)
+        p = np.maximum(design_probabilities(rho), tomography.PROB_FLOOR)
         p = p.reshape(-1, 4)
         return p / p.sum(axis=1, keepdims=True)
 
@@ -101,8 +108,7 @@ class TestSettings:
 
     def test_design_spans_hermitian_space(self):
         # rank oracle: numpy SVD-based matrix_rank on the 36x16 design
-        design = tomography._STANDARD.design
-        assert np.linalg.matrix_rank(design) == 16
+        assert np.linalg.matrix_rank(ROWS) == 16
 
 
 class TestDataset:
@@ -142,7 +148,7 @@ class TestDataset:
         n = 10**5
         ds = tomography.simulate_tomography(rho, n, RandomStream(21, 9))
         for setting, row in zip(tomography.standard_settings(), ds.counts):
-            probs = measurement.outcome_probabilities(rho, setting).as_array()
+            probs = measurement.outcome_probabilities(rho, setting)
             sigma = np.sqrt(probs * (1 - probs) / n)
             assert np.all(np.abs(row / n - probs) <= 5 * sigma + 1e-12)
 
@@ -188,13 +194,26 @@ class TestLinearInversion:
         np.testing.assert_allclose(rec.rho_hat, rec.rho_hat.conj().T, atol=1e-12)
         assert abs(np.trace(rec.rho_hat).real - 1.0) < 1e-12
 
-    def test_cached_inverse_matches_least_squares(self):
-        design = tomography._STANDARD
-        ds = tomography.simulate_tomography(states.family_state(0.4, 0.3), 500,
-                                            RandomStream(21))
+    @pytest.mark.parametrize("totals", ["equal", "unequal", "exact"])
+    def test_dual_frame_matches_least_squares(self, totals):
+        # oracle: complex least squares of Tr(rho P_x) = f_x over all 4x4 rho;
+        # the design is injective on Hermitian matrices, so the optimum is
+        # the Hermitian least-squares state
+        rho = states.family_state(0.4, 0.3)
+        if totals == "exact":
+            ds = tomography.exact_dataset(rho, 1e4)
+        else:
+            shots = [500] * 9 if totals == "equal" else range(100, 1000, 100)
+            stream = RandomStream(21)
+            ds = tomography.TomoDataset([
+                measurement.draw_count_rows(probs, n, stream)
+                for probs, n in zip(measurement.probabilities(rho), shots)])
         freqs = (ds.counts / ds.n_per_setting[:, None]).ravel()
-        coeffs, *_ = np.linalg.lstsq(design.real_design, freqs, rcond=None)
-        np.testing.assert_allclose(design.inverse @ freqs, coeffs, rtol=0.0, atol=1e-12)
+        vec, *_ = np.linalg.lstsq(ROWS.conj(), freqs.astype(complex), rcond=None)
+        rec = tomography.reconstruct_linear(ds)
+        np.testing.assert_allclose(rec.rho_hat, vec.reshape(4, 4), rtol=0.0, atol=1e-12)
+        if totals == "exact":
+            np.testing.assert_allclose(rec.rho_hat, rho, rtol=0.0, atol=1e-12)
 
     def test_indefinite_estimate_is_flagged(self):
         # small-n singlet data: the unconstrained estimate dips well below zero
@@ -302,17 +321,17 @@ class TestMLE:
         assert all(b >= a for a, b in zip(means, means[1:]))
 
     def test_design_matrices_are_shared_read_only(self):
-        for matrix in tomography._STANDARD:
+        for matrix in (tomography._ROWS, tomography._DUAL_ROWS):
             with pytest.raises(ValueError):
                 matrix[0, 0] = 0.0
+        assert np.shares_memory(tomography._ROWS, measurement.PROJECTORS)
 
 
 def kkt_excess(dataset: tomography.TomoDataset, rho: np.ndarray) -> float:
     """lambda_max(R / N) - 1 at rho, by an eigensolve; <= 0 at the maximum."""
-    design = tomography._STANDARD
     counts = dataset.counts.ravel()
-    probs = np.maximum((design.design @ rho.ravel()).real, tomography.PROB_FLOOR)
-    r = ((counts / probs) @ design.proj_rows).reshape(4, 4)
+    probs = np.maximum(design_probabilities(rho), tomography.PROB_FLOOR)
+    r = ((counts / probs) @ ROWS).reshape(4, 4)
     return float(np.linalg.eigvalsh(r / counts.sum())[-1]) - 1.0
 
 
@@ -453,11 +472,13 @@ class TestEigensolveBudget:
                 assert 0 < len(checks) <= 1
 
     def test_simulate_mle_report_makes_six(self, eigensolves):
+        # five when the reference is checked once and passed to both stages
         for k, rho in enumerate(self.REFERENCES):
-            eigensolves.clear()
-            ds = tomography.simulate_tomography(rho, 2000, RandomStream(42, k))
-            tomography.tomo_report(rho, tomography.reconstruct_mle(ds))
-            assert 0 < len(eigensolves) <= 6
+            for ref, budget in ((rho, 6), (states.check_state(rho), 5)):
+                eigensolves.clear()
+                ds = tomography.simulate_tomography(ref, 2000, RandomStream(42, k))
+                tomography.tomo_report(ref, tomography.reconstruct_mle(ds))
+                assert 0 < len(eigensolves) <= budget
 
 
 def reprojected_state(rho: np.ndarray) -> states.CheckedState:
