@@ -42,7 +42,7 @@ def _matrix_lines(rho: np.ndarray) -> list[str]:
 
 
 def _print(obj) -> None:
-    sys.stdout.write(obj if isinstance(obj, str) else json.dumps(obj, indent=1))
+    sys.stdout.write(obj if isinstance(obj, str) else json.dumps(obj, indent=1, allow_nan=False))
     sys.stdout.write("\n")
 
 
@@ -171,14 +171,11 @@ def cmd_fisher(args) -> int:
     curve = estimation.measure_path(args.path, args.q)
     povm = measurement.setting_projectors(measurement.DA_DA)
     report = estimation.qfi_numeric(curve, args.theta, povm=povm)
-    _print({
-        "path": args.path, "theta": args.theta, "q": args.q,
-        "qfi": report.qfi,
-        "cfi": report.cfi,
-        "qcrb_numeric": report.qcrb,
-        "qcrb_closed": qcrb_closed,
-        "cfi_over_qfi": report.cfi / report.qfi if report.qfi > 0 else float("nan"),
-    })
+    numbers = {"qfi": report.qfi, "cfi": report.cfi, "qcrb_numeric": report.qcrb,
+               "qcrb_closed": float(qcrb_closed), "cfi_over_qfi": report.cfi / report.qfi}
+    # an infinite information prints as null: NaN and Infinity are not JSON
+    _print({"path": args.path, "theta": args.theta, "q": args.q,
+            **{key: x if np.isfinite(x) else None for key, x in numbers.items()}})
     return 0
 
 

@@ -13,11 +13,15 @@ Every measure is a function of N (states.MEASURES). Log-measure and discord
 estimators are exact transforms of these, and each uncertainty curve is the
 N-scale curve times |dfrom_n(N)|, its exact delta-method image.
 
+The numeric Fisher information checks that bound on the exact tangent of
+rho along N, a constant since rho is affine in p, carried by the same factor.
+
 Uncertainty convention: curves return the single-shot value; the standard
 error of an n-shot estimate is curve / sqrt(n). Both appear on results.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -206,25 +210,27 @@ def estimate(kind: str, variant: str, counts: measurement.OutcomeCounts,
     )
 
 
-# --- measure <-> parameter paths for Fisher information --------------------------------
+# --- Fisher information on the family's exact tangent ---------------------------
 
-def measure_path(kind: str, q: float = 0.5) -> Callable[[float], np.ndarray]:
-    """theta -> rho(theta) along the family, theta in the measure's own units.
+# theta -> (rho, d rho / dN, dfrom_n(N)), as measure_path returns
+MeasurePath = Callable[[float], tuple[np.ndarray, np.ndarray, float]]
+EIG_PAIR_FLOOR = 1e-12
 
-    theta maps to N through the kind's to_n, and N to rho(p = N / (2
-    sqrt(q(1-q))), q), so the log-negativity and discord paths are exact
-    reparameterizations of the negativity path. Paths tolerate a half
-    central-difference step outside the physical range.
-    """
+
+def measure_path(kind: str, q: float = 0.5) -> MeasurePath:
+    """theta -> (rho, d rho / dN, dfrom_n(N)) along the family at q, theta in
+    the measure's own units. theta maps to N through _to_n, which checks range
+    and reach as the theory curves do, and rho is family_state(N / reach, q).
+    rho is affine in p, so d rho / dN = (rho(1, q) - rho(0, q)) / reach is
+    exact at every theta; a theta derivative is the N one over dfrom_n(N)."""
     s = _reach(q)
     if s <= 0.0:
         raise DomainError(f"family path needs q in (0, 1), got q={q!r}")
-    to_n = _row(kind).to_n
+    tangent = (states.family_state(1.0, q) - states.family_state(0.0, q)) / s
 
-    def path(theta: float) -> np.ndarray:
-        if kind == states.QGD and theta < 0.0:
-            raise DomainError(f"discord path needs theta >= 0, got {theta!r}")
-        return states._family_matrix(to_n(theta) / s, q)
+    def path(theta: float) -> tuple[np.ndarray, np.ndarray, float]:
+        n, scale = _to_n(kind, theta, q)
+        return states.family_state(min(n / s, 1.0), q), tangent, float(scale)
 
     return path
 
@@ -239,64 +245,56 @@ class FisherReport:
     qcrb: float
 
     def __post_init__(self):
-        if self.cfi > self.qfi + 1e-6:
+        # as variance bounds, 1/CFI >= 1/QFI: near the family's edge the two
+        # are huge, and either may already be infinite, within round-off
+        if self.cfi > self.qfi and 1.0 / self.cfi < self.qcrb - EIG_PAIR_FLOOR:
             raise DomainError(f"CFI {self.cfi!r} exceeds QFI {self.qfi!r}")
 
 
-EIG_PAIR_FLOOR = 1e-12
+def qfi_numeric(curve: MeasurePath, theta: float,
+                povm: np.ndarray | None = None) -> FisherReport:
+    """QFI by the spectral sum F_N = sum_ij 2 |<i| d rho / dN |j>|^2 / (l_i + l_j)
+    over eigenpairs above EIG_PAIR_FLOOR, and F_theta = F_N / dfrom_n(N)^2.
 
-
-def _central_diff(curve: Callable[[float], np.ndarray], theta: float,
-                  dtheta: float) -> np.ndarray:
-    return (curve(theta + 0.5 * dtheta) - curve(theta - 0.5 * dtheta)) / dtheta
-
-
-def qfi_numeric(curve: Callable[[float], np.ndarray], theta: float,
-                dtheta: float = 1e-5,
-                povm: list[np.ndarray] | None = None) -> FisherReport:
-    """Quantum Fisher information by the spectral sum.
-
-    QFI = sum_{i,j} 2 |<i| d_theta rho |j>|^2 / (l_i + l_j) over eigenpairs
-    with l_i + l_j above 1e-12; d_theta rho is a central difference. When a
-    POVM is supplied the report also carries the classical Fisher information
-    of those outcome statistics.
+    A tangent entry on a pair below the floor means the path leaves the
+    support (the pure end, N = reach): the QFI is infinite and the QCRB 0, the
+    closed bound there, and so at dfrom_n(N) = 0 (discord theta = 0). With a
+    POVM the report also carries its classical Fisher information.
     """
-    rho = matcore.require_hermitian(curve(theta))
-    drho = _central_diff(curve, theta, dtheta)
+    rho, tangent, scale = curve(theta)
     eig = matcore.hermitian_eig(rho)
     vals = matcore.clamp_psd_spectrum(eig.values, tol=1e-8)
-    m = eig.vectors.conj().T @ drho @ eig.vectors
+    m = eig.vectors.conj().T @ tangent @ eig.vectors
     denom = vals[:, None] + vals[None, :]
     keep = denom > EIG_PAIR_FLOOR
-    if not np.any(keep):
-        raise DomainError("all eigenvalue pairs below threshold; QFI undefined here")
-    qfi = float(np.sum(2.0 * np.abs(m[keep]) ** 2 / denom[keep]))
-    cfi = cfi_numeric(curve, theta, povm, dtheta) if povm is not None else 0.0
-    return FisherReport(theta=float(theta), qfi=qfi, cfi=cfi, qcrb=1.0 / qfi)
+    if scale == 0.0 or np.any(np.abs(m[~keep]) > EIG_PAIR_FLOOR):
+        qfi = math.inf
+    else:
+        qfi = float(np.sum(2.0 * np.abs(m[keep]) ** 2 / denom[keep])) / scale / scale
+    cfi = cfi_numeric(curve, theta, povm) if povm is not None else 0.0
+    return FisherReport(theta=float(theta), qfi=qfi, cfi=cfi,
+                        qcrb=0.0 if math.isinf(qfi) else 1.0 / qfi)
 
 
-def cfi_numeric(curve: Callable[[float], np.ndarray], theta: float,
-                povm: list[np.ndarray] | None = None,
-                dtheta: float = 1e-5) -> float:
-    """Classical Fisher information sum_x (d_theta p_x)^2 / p_x of a POVM.
+def cfi_numeric(curve: MeasurePath, theta: float, povm: np.ndarray) -> float:
+    """CFI sum_x (d_theta p_x)^2 / p_x of a (k, 4, 4) POVM stack, with p_x and
+    dp_x / dN read as Tr(rho P_x), as measurement.probabilities does.
 
-    Defaults to the DA x DA projector set. Outcomes with p_x <= 1e-12 are
-    skipped (their derivative vanishes on this family).
+    An outcome with p_x at round-off (<= 1e-15) adds 0 if dp_x = 0 and is
+    infinite otherwise: the path leaves the simplex. (A floor at
+    EIG_PAIR_FLOOR would do so up to ~4e-11 inside the reach, where the QFI
+    is still finite.)
     """
-    if povm is None:
-        povm = measurement.setting_projectors(measurement.DA_DA)
-    total = sum(povm)
-    if matcore.frobenius(total - np.eye(4)) > 1e-10:
+    povm = np.asarray(povm)
+    if matcore.frobenius(povm - povm.conj().swapaxes(1, 2)) > 1e-10:
+        raise DomainError("POVM elements are not Hermitian")
+    if matcore.frobenius(povm.sum(axis=0) - np.eye(4)) > 1e-10:
         raise DomainError("POVM elements do not sum to the identity")
-    for el in povm:
-        matcore.clamp_psd_spectrum(matcore.hermitian_eig(el).values, tol=1e-10)
-    rho = curve(theta)
-    drho = _central_diff(curve, theta, dtheta)
-    cfi = 0.0
-    for el in povm:
-        p = np.trace(rho @ el).real
-        if p <= 1e-12:
-            continue
-        dp = np.trace(drho @ el).real
-        cfi += dp * dp / p
-    return float(cfi)
+    matcore.clamp_psd_spectrum(np.linalg.eigvalsh(povm), tol=1e-10)
+    rho, tangent, scale = curve(theta)
+    p, dp = np.einsum("sij,xji->sx", np.stack([rho, tangent]), povm).real
+    dead = p <= 1e-15
+    cfi = float(np.sum(dp[~dead] ** 2 / p[~dead]))  # on the N scale
+    if np.any(np.abs(dp[dead]) > 1e-12) or (cfi > 0.0 and scale == 0.0):
+        return math.inf
+    return cfi / scale / scale if cfi > 0.0 else 0.0

@@ -67,8 +67,8 @@ class SweepConfig:
         for p in self.p_grid:
             if not 0.0 <= p <= 1.0:
                 raise ConfigError(f"grid value {p} outside [0, 1]")
-        if self.n_shots < 1:
-            raise ConfigError(f"n_shots must be >= 1, got {self.n_shots}")
+        if not 1 <= self.n_shots <= measurement.MAX_SHOTS:
+            raise ConfigError(f"n_shots must lie in [1, 2**63 - 1], got {self.n_shots}")
         if self.repetitions < 2:
             raise ConfigError("repetitions must be >= 2 for a standard deviation")
         if not isinstance(self.master_seed, int):
@@ -99,8 +99,10 @@ def _parse_int(value: str) -> int:
 
 
 def parse_grid(value: str) -> tuple[float, ...]:
-    cleaned = value.strip().strip("[]")
-    parts = [part for chunk in cleaned.split(",") for part in chunk.split()]
+    chunks = value.strip().strip("[]").split(",")
+    if len(chunks) > 1 and not all(chunk.strip() for chunk in chunks):
+        raise ConfigError(f"empty grid entry in {value!r}")
+    parts = [part for chunk in chunks for part in chunk.split()]
     try:
         return tuple(float(part) for part in parts)
     except ValueError as exc:
@@ -130,6 +132,8 @@ def parse_config_text(text: str) -> dict:
         key, value = key.strip(), value.strip()
         if key not in _FIELD_PARSERS:
             raise ConfigError(f"config line {lineno}: unknown key {key!r}")
+        if key in out:
+            raise ConfigError(f"config line {lineno}: {key!r} is set twice")
         try:
             out[key] = _FIELD_PARSERS[key](value)
         except ValueError as exc:

@@ -32,6 +32,7 @@ _KETS = {
 }
 
 OUTCOME_LABELS = ("pp", "pm", "mp", "mm")
+MAX_SHOTS = 2 ** 63 - 1  # numpy's multinomial draws int64 counts
 
 
 def basis_kets(basis: str) -> tuple[np.ndarray, np.ndarray]:
@@ -148,8 +149,8 @@ def _normalised(probs: np.ndarray) -> np.ndarray:
 
 
 def _require_shots(n: int) -> None:
-    if n < 1:
-        raise DomainError(f"shot count must be >= 1, got {n}")
+    if not 1 <= n <= MAX_SHOTS:
+        raise DomainError(f"shot count must lie in [1, 2**63 - 1], got {n}")
 
 
 def draw_counts(probs: np.ndarray, n: int, stream: RandomStream) -> OutcomeCounts:

@@ -106,22 +106,16 @@ def validate_density_matrix(rho: np.ndarray) -> np.ndarray:
     return check_state(rho).rho
 
 
-def _family_matrix(p: float, q: float) -> np.ndarray:
-    """Family matrix without range validation (internal; Fisher paths poke
-    a half-step outside [0, 1] for central differences)."""
-    s = np.sqrt(q * (1.0 - q)) if 0.0 <= q <= 1.0 else np.sqrt(abs(q * (1.0 - q)))
-    rho = np.zeros((4, 4), dtype=complex)
-    rho[1, 1] = (1.0 - p) / 2.0 + p * q
-    rho[2, 2] = (1.0 - p) / 2.0 + p * (1.0 - q)
-    rho[1, 2] = rho[2, 1] = -p * s
-    return rho
-
-
 def family_state(p: float, q: float) -> np.ndarray:
     """Density matrix rho(p, q); p, q must lie in [0, 1]."""
     if not (0.0 <= p <= 1.0) or not (0.0 <= q <= 1.0):
         raise DomainError(f"family parameters out of range: p={p!r}, q={q!r}")
-    return _family_matrix(float(p), float(q))
+    p, q = float(p), float(q)
+    rho = np.zeros((4, 4), dtype=complex)
+    rho[1, 1] = (1.0 - p) / 2.0 + p * q
+    rho[2, 2] = (1.0 - p) / 2.0 + p * (1.0 - q)
+    rho[1, 2] = rho[2, 1] = -p * np.sqrt(q * (1.0 - q))
+    return rho
 
 
 def singlet() -> np.ndarray:

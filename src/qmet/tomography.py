@@ -178,7 +178,7 @@ def reconstruct_linear(dataset: TomoDataset) -> Reconstruction:
 
 # --- MLE ---------------------------------------------------------------------
 
-def reconstruct_mle(dataset: TomoDataset, max_sweeps: int = MAX_SWEEPS) -> Reconstruction:
+def reconstruct_mle(dataset: TomoDataset) -> Reconstruction:
     """Maximum-likelihood state by SQUAREM-accelerated R rho R ascent on a
     factor of the estimate's own rank.
 
@@ -210,7 +210,7 @@ def reconstruct_mle(dataset: TomoDataset, max_sweeps: int = MAX_SWEEPS) -> Recon
     direction off the current support, joins the factor as a new column of
     weight GROWTH_WEIGHT and the ascent goes on. So a reconstruction makes
     one eigensolve (the start) plus one per rank growth. Flagged as not
-    converged after max_sweeps cycles. ``iterations`` counts cycles, each of
+    converged after MAX_SWEEPS cycles. ``iterations`` counts cycles, each of
     two or three evaluations of F. The state is returned as the final
     factor a, PSD with unit trace by construction, so min_eigenvalue is None.
     """
@@ -253,7 +253,7 @@ def reconstruct_mle(dataset: TomoDataset, max_sweeps: int = MAX_SWEEPS) -> Recon
     ra = r_times(a, p_ref)
     converged = False
     iterations = 0
-    for iterations in range(1, max_sweeps + 1):
+    for iterations in range(1, MAX_SWEEPS + 1):
         a1 = normalised(ra)
         p1 = probabilities(a1)
         a2 = normalised(r_times(a1, p1))

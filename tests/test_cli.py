@@ -1,17 +1,30 @@
 import json
+import re
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from qmet import cli, harness, states
 
+README = Path(__file__).resolve().parent.parent / "README.md"
+TOO_MANY_SHOTS = str(2 ** 63)
+
 
 def run_main(capsys, argv):
     code = cli.main(argv)
     out = capsys.readouterr().out
     return code, out
+
+
+def strict_json(text):
+    """json.loads that rejects NaN and Infinity, which are not JSON."""
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+    return json.loads(text, parse_constant=reject)
 
 
 class TestState:
@@ -64,6 +77,24 @@ class TestSample:
     def test_bad_env_seed_is_config_error(self, capsys, monkeypatch):
         monkeypatch.setenv("QMET_SEED", "not-a-number")
         assert cli.main(["sample", "--p", "0.5", "--q", "0.5", "--n", "10"]) == 2
+
+    def test_largest_shot_count_is_drawn(self, capsys):
+        code, out = run_main(capsys, ["sample", "--p", "0.5", "--n", str(2 ** 63 - 1)])
+        assert code == 0
+        record = json.loads(out)
+        assert sum(record[k] for k in ("n_pp", "n_pm", "n_mp", "n_mm")) == 2 ** 63 - 1
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["sample", "--p", "0.5", "--n", TOO_MANY_SHOTS], 3),
+    (["tomo", "--p", "0.5", "--n-per-setting", TOO_MANY_SHOTS], 3),
+    (["sweep", "--n-shots", TOO_MANY_SHOTS, "--print-config"], 2),
+])
+def test_shot_counts_beyond_int64_are_rejected(capsys, argv, code):
+    assert cli.main(argv) == code
+    captured = capsys.readouterr()
+    assert "2**63 - 1" in captured.err
+    assert captured.out == ""
 
 
 class TestEstimate:
@@ -208,6 +239,16 @@ class TestSweep:
         assert code == 2
         assert "abc" in capsys.readouterr().err
 
+    def test_empty_grid_entry_is_config_error(self, capsys):
+        assert cli.main(["sweep", "--p-grid", "0.1,,0.2", "--print-config"]) == 2
+        assert "empty grid entry" in capsys.readouterr().err
+
+    def test_key_set_twice_is_config_error(self, capsys, tmp_path):
+        cfg_file = tmp_path / "twice.cfg"
+        cfg_file.write_text("q = 0.3\nq = 0.4\n")
+        assert cli.main(["sweep", "--config", str(cfg_file), "--print-config"]) == 2
+        assert "'q' is set twice" in capsys.readouterr().err
+
     def test_bad_config_value(self, capsys, tmp_path):
         cfg_file = tmp_path / "bad.cfg"
         cfg_file.write_text("mixing_mode = Sideways\n")
@@ -267,11 +308,11 @@ class TestFisher:
         code, out = run_main(capsys, ["fisher", "--path", "negativity",
                                       "--theta", "0.5"])
         assert code == 0
-        blob = json.loads(out)
-        assert blob["qfi"] == pytest.approx(4.0 / 3.0, abs=1e-5)
-        assert blob["cfi"] == pytest.approx(blob["qfi"], abs=1e-6)
+        blob = strict_json(out)
+        assert blob["qfi"] == pytest.approx(4.0 / 3.0, abs=1e-12)
+        assert blob["cfi"] == pytest.approx(blob["qfi"], abs=1e-12)
         assert blob["qcrb_closed"] == pytest.approx(0.75, abs=1e-12)
-        assert blob["qcrb_numeric"] == pytest.approx(0.75, abs=1e-5)
+        assert blob["qcrb_numeric"] == pytest.approx(0.75, abs=1e-12)
 
     def test_bad_theta_is_domain_error(self, capsys):
         assert cli.main(["fisher", "--path", "negativity", "--theta",
@@ -282,15 +323,39 @@ class TestFisher:
         code, out = run_main(capsys, ["fisher", "--path", "negativity",
                                       "--theta", "0.5", "--q", "0.2"])
         assert code == 0
-        blob = json.loads(out)
+        blob = strict_json(out)
         assert blob["qcrb_closed"] == pytest.approx(0.39, abs=1e-12)
-        assert blob["qcrb_numeric"] == pytest.approx(blob["qcrb_closed"], abs=1e-5)
-        assert blob["cfi_over_qfi"] == pytest.approx(0.52, abs=1e-6)
+        assert blob["qcrb_numeric"] == pytest.approx(blob["qcrb_closed"], abs=1e-12)
+        assert blob["cfi_over_qfi"] == pytest.approx(0.52, abs=1e-12)
+
+    @pytest.mark.parametrize("argv", [
+        ["--theta", "1"],                                # the singlet
+        ["--path", "log_negativity", "--theta", "1"],
+        ["--theta", "0.8", "--q", "0.2"],                # the reach at q = 0.2
+        ["--path", "qgd", "--theta", "0"],               # dfrom_n(0) = 0
+    ])
+    def test_bound_is_zero_at_both_ends(self, capsys, argv):
+        code, out = run_main(capsys, ["fisher"] + argv)
+        assert code == 0
+        blob = strict_json(out)
+        assert blob["qcrb_numeric"] == blob["qcrb_closed"] == 0.0
+        assert blob["qfi"] is None  # infinite
 
     def test_theta_beyond_reach_is_domain_error(self, capsys):
         # the family reaches N = 2 sqrt(0.2 * 0.8) = 0.8 at most
         assert cli.main(["fisher", "--path", "negativity", "--theta", "0.9",
                          "--q", "0.2"]) == 3
+        assert "beyond the family" in capsys.readouterr().err
+
+
+def test_readme_json_examples_match_the_cli(capsys):
+    examples = re.findall(r"^\$ qmet ([^\n]+)\n(\{\n.*?\n\})$",
+                          README.read_text(encoding="utf-8"), re.M | re.S)
+    assert len(examples) >= 4
+    for command, printed in examples:
+        code, out = run_main(capsys, shlex.split(command))
+        assert (code, out) == (0, printed + "\n"), command
+        strict_json(out)
 
 
 class TestSubprocessSurface:

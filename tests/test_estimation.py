@@ -279,17 +279,55 @@ def test_array_kernel_keeps_leading_axes_and_rejects_bad_input():
 
 # --- Fisher information -----------------------------------------------------------
 
+def _central_difference_fisher(kind, q, theta, povm, dtheta=1e-5):
+    """QFI and CFI by the spectral sum on a central difference of rho(theta),
+    with rho built from the closed p(theta) and no tangent or chain rule: an
+    independent oracle for measure_path's dfrom_n factor."""
+    row, reach = states.MEASURES[kind], states.negativity_closed(1.0, q)
+
+    def rho(t):
+        return states.family_state(row.to_n(t) / reach, q)
+
+    r = rho(theta)
+    dr = (rho(theta + 0.5 * dtheta) - rho(theta - 0.5 * dtheta)) / dtheta
+    vals, vecs = np.linalg.eigh(r)
+    vals = np.clip(vals, 0.0, None)
+    m = vecs.conj().T @ dr @ vecs
+    denom = vals[:, None] + vals[None, :]
+    keep = denom > 1e-12
+    qfi = float(np.sum(2.0 * np.abs(m[keep]) ** 2 / denom[keep]))
+    cfi = 0.0
+    for el in povm:
+        p = np.trace(r @ el).real
+        if p > 1e-12:
+            dp = np.trace(dr @ el).real
+            cfi += dp * dp / p
+    return qfi, cfi
+
+
+@pytest.mark.parametrize("kind", [N, L, Q])
+@pytest.mark.parametrize("q", [0.2, 0.5])
+@pytest.mark.parametrize("frac", [0.1, 0.5, 0.9])
+def test_exact_tangent_matches_central_differences(kind, q, frac):
+    theta = float(states.MEASURES[kind].from_n(frac * states.negativity_closed(1.0, q)))
+    for povm in (ms.setting_projectors(ms.DA_DA), ms.PROJECTORS.reshape(36, 4, 4) / 9.0):
+        report = est.qfi_numeric(est.measure_path(kind, q), theta, povm=povm)
+        qfi, cfi = _central_difference_fisher(kind, q, theta, povm)
+        assert report.qfi == pytest.approx(qfi, rel=1e-6)
+        assert report.cfi == pytest.approx(cfi, rel=1e-6)
+
+
 def test_qfi_negativity_path_frozen_point():
     report = est.qfi_numeric(est.measure_path(states.NEGATIVITY), 0.5)
-    assert report.qfi == pytest.approx(4.0 / 3.0, abs=1e-6)
-    assert report.qcrb == pytest.approx(0.75, abs=1e-6)
+    assert report.qfi == pytest.approx(4.0 / 3.0, abs=1e-12)
+    assert report.qcrb == pytest.approx(0.75, abs=1e-12)
 
 
 def test_qfi_matches_closed_qcrb_on_grid():
     path = est.measure_path(states.NEGATIVITY)
     for n in np.linspace(0.0, 0.95, 20):
         report = est.qfi_numeric(path, float(n))
-        assert abs(report.qcrb - (1.0 - n * n)) <= 1e-5
+        assert abs(report.qcrb - (1.0 - n * n)) <= 1e-12
 
 
 def test_qfi_reparameterized_paths_match_closed_qcrb():
@@ -299,9 +337,34 @@ def test_qfi_reparameterized_paths_match_closed_qcrb():
         l = float(np.log2(1.0 + n))
         q = float(0.5 * n * n)
         assert abs(est.qfi_numeric(lpath, l).qcrb
-                   - est.qcrb_curves(states.LOG_NEGATIVITY, l)) <= 1e-5
+                   - est.qcrb_curves(states.LOG_NEGATIVITY, l)) <= 1e-12
         assert abs(est.qfi_numeric(qpath, q).qcrb
-                   - est.qcrb_curves(states.QGD, q)) <= 1e-5
+                   - est.qcrb_curves(states.QGD, q)) <= 1e-12
+
+
+@pytest.mark.parametrize("kind, theta, q, da_cfi", [
+    # the singlet: the path leaves the support, and DA x DA reads
+    # p_pp = p_mm = 0 with dp/dN = -1/4
+    (N, 1.0, 0.5, np.inf),
+    (L, 1.0, 0.5, np.inf),
+    (N, 0.8, 0.2, 1.0 / (1.0 - 0.8 ** 2)),  # the reach at q = 0.2
+    (Q, 0.0, 0.5, np.inf),                   # dfrom_n(0) = 0
+])
+def test_qfi_is_infinite_where_the_closed_bound_is_zero(kind, theta, q, da_cfi):
+    report = est.qfi_numeric(est.measure_path(kind, q), theta,
+                             povm=ms.setting_projectors(ms.DA_DA))
+    assert report.qfi == np.inf
+    assert report.qcrb == 0.0 == est.qcrb_curves(kind, theta, q)
+    assert report.cfi == pytest.approx(da_cfi, rel=1e-12)
+
+
+def test_path_tangent_is_exact():
+    rho, tangent, scale = est.measure_path(states.NEGATIVITY, 0.3)(0.4)
+    reach = states.negativity_closed(1.0, 0.3)
+    np.testing.assert_allclose(
+        tangent, (states.family_state(1.0, 0.3) - states.family_state(0.0, 0.3)) / reach)
+    np.testing.assert_array_equal(rho, states.family_state(0.4 / reach, 0.3))
+    assert scale == 1.0
 
 
 def test_cfi_da_saturates_qfi():
@@ -309,7 +372,16 @@ def test_cfi_da_saturates_qfi():
     povm = ms.setting_projectors(ms.DA_DA)
     for n in (0.1, 0.5, 0.9):
         report = est.qfi_numeric(path, n, povm=povm)
-        assert abs(report.cfi - report.qfi) <= 1e-6
+        assert abs(report.cfi - report.qfi) <= 1e-12
+
+
+def test_cfi_of_the_tomography_design_is_two_ninths_of_qfi():
+    # the 36 projectors over 9 settings, each setting used a ninth of the time
+    path = est.measure_path(states.NEGATIVITY)
+    povm = ms.PROJECTORS.reshape(36, 4, 4) / 9.0
+    for n in (0.0, 0.3, 0.6, 0.9):
+        report = est.qfi_numeric(path, n, povm=povm)
+        assert report.cfi / report.qfi == pytest.approx(2.0 / 9.0, abs=1e-12)
 
 
 def test_cfi_hv_setting_is_blind():
@@ -334,6 +406,18 @@ def test_cfi_rejects_incomplete_povm():
     povm = ms.setting_projectors(ms.DA_DA)[:3]
     with pytest.raises(DomainError):
         est.cfi_numeric(path, 0.5, povm)
+
+
+def test_cfi_rejects_non_hermitian_or_negative_elements():
+    path = est.measure_path(states.NEGATIVITY)
+    shear = np.zeros((4, 4))
+    shear[0, 1] = 0.5
+    povm = np.array(ms.setting_projectors(ms.DA_DA))
+    with pytest.raises(DomainError, match="Hermitian"):
+        est.cfi_numeric(path, 0.5, povm + np.stack([shear, -shear, 0 * shear, 0 * shear]))
+    flip = np.diag([0.5, 0.0, 0.0, 0.0])
+    with pytest.raises(DomainError, match="spectrum"):
+        est.cfi_numeric(path, 0.5, np.concatenate([povm, [flip, -flip]]))
 
 
 def test_qgd_path_rejects_negative_theta():

@@ -79,6 +79,9 @@ class TestConfig:
         "q 0.5",
         "n_shots = allthe",
         "p_grid = 0, banana",
+        "q = 0.3\nq = 0.4",         # a key set twice
+        "p_grid = 0.1,,0.2",        # an empty grid entry
+        "p_grid = 0.1, 0.2,",
     ])
     def test_parse_rejects(self, text):
         with pytest.raises(ConfigError):
@@ -89,6 +92,7 @@ class TestConfig:
         dict(p_grid=()),
         dict(p_grid=(0.0, 1.2)),
         dict(n_shots=0),
+        dict(n_shots=2 ** 63),  # beyond the int64 counts of a draw
         dict(repetitions=1),
         dict(variance_reps=1_000),  # removed knob: now an unknown key
         dict(mixing_mode="Bogus"),

@@ -301,9 +301,10 @@ class TestMLE:
         assert len(eigensolves) == 1
         assert rec.min_eigenvalue is None
 
-    def test_nonconvergence_is_flagged_not_raised(self):
+    def test_nonconvergence_is_flagged_not_raised(self, monkeypatch):
         ds = tomography.simulate_tomography(states.singlet(), 1000, RandomStream(1))
-        rec = tomography.reconstruct_mle(ds, max_sweeps=1)
+        monkeypatch.setattr(tomography, "MAX_SWEEPS", 1)
+        rec = tomography.reconstruct_mle(ds)
         assert not rec.converged
         assert rec.iterations == 1
 
