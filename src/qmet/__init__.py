@@ -70,7 +70,6 @@ from .tomography import (
     reconstruct_linear,
     reconstruct_mle,
     simulate_tomography,
-    standard_settings,
     tomo_report,
 )
 
@@ -97,6 +96,6 @@ __all__ = [
     "RandomStream",
     "Reconstruction", "TomoDataset",
     "reconstruct_linear", "reconstruct_mle", "simulate_tomography",
-    "standard_settings", "tomo_report",
+    "tomo_report",
     "__version__",
 ]

@@ -3,14 +3,14 @@ tomography and Fisher-information reports.
 
 Exit codes: 0 success, 2 configuration error (including an input file or
 output directory the OS cannot open), 3 numeric or domain error.
-All randomness derives from --seed; the QMET_SEED environment variable is the
-fallback when --seed is omitted, then the built-in default.
+All randomness derives from --seed, an integer in [-2**63, 2**63) (for sweep,
+also the config file's master_seed), and otherwise the default 42.
 """
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
-import os
 import sys
 
 import numpy as np
@@ -22,16 +22,8 @@ from .streams import RandomStream
 DEFAULT_SEED = 42
 
 
-def _seed_fallback(value: int | None) -> int:
-    if value is not None:
-        return value
-    env = os.environ.get("QMET_SEED")
-    if env is not None:
-        try:
-            return int(env, 0)
-        except ValueError as exc:
-            raise ConfigError(f"QMET_SEED is not an integer: {env!r}") from exc
-    return DEFAULT_SEED
+def _seed(value: int | None) -> int:
+    return harness.check_seed(DEFAULT_SEED if value is None else value)
 
 
 def _matrix_lines(rho: np.ndarray) -> list[str]:
@@ -56,9 +48,7 @@ def cmd_state(args) -> int:
             "matrix_real": np.round(rho.real, 12).tolist(),
             "matrix_imag": np.round(rho.imag, 12).tolist(),
             "measures": values,
-            "fit": {"p": fit.p, "q": fit.q, "residual": fit.residual,
-                    "degenerate": fit.degenerate,
-                    "out_of_family": fit.out_of_family},
+            "fit": dataclasses.asdict(fit),
         })
         return 0
     lines = [f"family state at p={args.p:g}, q={args.q:g}"]
@@ -82,7 +72,7 @@ def cmd_probe(args) -> int:
 
 
 def cmd_sample(args) -> int:
-    seed = _seed_fallback(args.seed)
+    seed = _seed(args.seed)
     rho = states.family_state(args.p, args.q)
     counts = measurement.sample_counts(rho, measurement.DA_DA, args.n,
                                        RandomStream(seed))
@@ -106,7 +96,7 @@ def cmd_estimate(args) -> int:
                    (("--p", args.p), ("--n", args.n)) if value is None]
         if missing:
             raise ConfigError(f"estimate needs --counts or {' and '.join(missing)}")
-        seed = _seed_fallback(args.seed)
+        seed = _seed(args.seed)
         rho = states.family_state(args.p, args.q)
         counts = measurement.sample_counts(rho, measurement.DA_DA, args.n,
                                            RandomStream(seed))
@@ -143,7 +133,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_tomo(args) -> int:
-    seed = _seed_fallback(args.seed)
+    seed = _seed(args.seed)
     # checked once for both the draw and the report's fidelity
     rho = states.check_state(states.family_state(args.p, args.q))
     dataset = tomography.simulate_tomography(rho, args.n_per_setting,
@@ -154,10 +144,7 @@ def cmd_tomo(args) -> int:
         "p": args.p, "q": args.q, "n_per_setting": args.n_per_setting,
         "seed": seed,
         "fidelity": report.fidelity,
-        "fit": {"p": report.fit.p, "q": report.fit.q,
-                "residual": report.fit.residual,
-                "degenerate": report.fit.degenerate,
-                "out_of_family": report.fit.out_of_family},
+        "fit": dataclasses.asdict(report.fit),
         "measures": report.measures,
         "converged": recon.converged,
         "iterations": recon.iterations,
@@ -179,10 +166,10 @@ def cmd_fisher(args) -> int:
     return 0
 
 
-def _add_pq(sub, q_default: float = 0.5) -> None:
+def _add_pq(sub) -> None:
     sub.add_argument("--p", type=float, required=True,
                      help="mixing parameter in [0, 1]")
-    sub.add_argument("--q", type=float, default=q_default,
+    sub.add_argument("--q", type=float, default=0.5,
                      help="pure-component balance in [0, 1] (default %(default)s)")
 
 
@@ -206,7 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_pq(sub)
     sub.add_argument("--n", type=int, required=True, help="number of shots")
     sub.add_argument("--seed", type=int, default=None,
-                     help="stream seed (default: QMET_SEED or 42)")
+                     help="stream seed in [-2**63, 2**63) (default 42)")
     sub.set_defaults(func=cmd_sample)
 
     sub = subs.add_parser("estimate", help="run one estimator on counts")

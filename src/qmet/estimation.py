@@ -9,9 +9,11 @@ All estimators act on the four joint-count record of a single DA x DA setting
   variance 1 - N^2 at every q. That saturates the quantum Cramer-Rao bound
   QCRB_N(q) = 4q(1-q) - N^2 at q = 1/2 only; off q = 1/2 the bound is lower.
 
-Every measure is a function of N (states.MEASURES). Log-measure and discord
-estimators are exact transforms of these, and each uncertainty curve is the
-N-scale curve times |dfrom_n(N)|, its exact delta-method image.
+Every measure is a function of N (states.MEASURES). An estimator computes
+its variant's N-scale estimate v once and returns from_n(v) of the kind's
+row. Each uncertainty curve is the N-scale curve times |dfrom_n(N)|, its
+exact delta-method image, and every curve and estimate reaches N through
+the same _to_n.
 
 The numeric Fisher information checks that bound on the exact tangent of
 rho along N, a constant since rho is affine in p, carried by the same factor.
@@ -152,15 +154,15 @@ def estimator_values(kind: str, variant: str,
                      counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Raw estimates and log-floor mask of (..., 4) DA x DA count records.
 
-    Every estimator is a function of the frequencies f = counts / n:
+    Each variant estimates N from the frequencies f = counts / n:
 
-    * non-optimal: v = 1 - 4 f_pp, and L = log2(2 - 4 f_pp);
-    * optimal: the parity combination v = f_pm + f_mp - f_pp - f_mm, and
-      L = log2(1 + v);
+    * non-optimal: v = 1 - 4 f_pp;
+    * optimal: the parity combination v = f_pm + f_mp - f_pp - f_mm;
 
-    negativity and concurrence read v, discord v^2 / 2. Log arguments that
-    statistical noise pushed to <= 0 floor at LOG_CLAMP and are flagged in the
-    mask. A single record gives 0-d results.
+    and the kind reads from_n(v) of its states.MEASURES row. A log-negativity
+    v <= -1, whose log argument 1 + v statistical noise pushed to <= 0, is
+    floored to LOG_CLAMP - 1, which reads log2(LOG_CLAMP) = -20, and flagged
+    in the mask. A single record gives 0-d results.
     """
     if kind not in states.MEASURES or variant not in VARIANTS:
         raise DomainError(f"no estimator for kind={kind!r}, variant={variant!r}")
@@ -172,32 +174,24 @@ def estimator_values(kind: str, variant: str,
     f_pp = f[..., 0]
     if variant == NONOPTIMAL:
         v = 1.0 - 4.0 * f_pp
-        log_arg = 2.0 - 4.0 * f_pp
     else:
         v = f[..., 1] + f[..., 2] - f_pp - f[..., 3]
-        log_arg = 1.0 + v
+    floored = np.zeros(np.shape(v), dtype=bool)
     if kind == states.LOG_NEGATIVITY:
-        floored = log_arg <= 0.0
-        return np.log2(np.where(floored, LOG_CLAMP, log_arg)), floored
-    unfloored = np.zeros(np.shape(v), dtype=bool)
-    if kind == states.QGD:
-        return 0.5 * v * v, unfloored
-    return v, unfloored
+        floored = v <= -1.0
+        v = np.where(floored, LOG_CLAMP - 1.0, v)
+    return states.MEASURES[kind].from_n(v), floored
 
 
 def estimate(kind: str, variant: str, counts: measurement.OutcomeCounts,
-             at_value: float | None = None, q: float = 0.5) -> EstimateResult:
-    """One estimate from one count record; theory curves at at_value if given.
-
-    Without at_value the curves are evaluated at the clamped estimate. Their
-    reference N is clipped to the family's reach 2 sqrt(q(1-q)) at q.
+             q: float = 0.5) -> EstimateResult:
+    """One estimate from one count record, with the theory curves evaluated
+    at the clamped estimate, clipped to the family's reach 2 sqrt(q(1-q)) at q.
     """
     raw, floored = estimator_values(kind, variant, counts.as_array())
     value = float(raw)
     value_clamped = float(clip_to_range(kind, value))
-    ref = value_clamped if at_value is None else clip_to_range(kind, at_value)
-    n = min(_row(kind).to_n(ref), _reach(q))
-    scale = abs(_row(kind).dfrom_n(n))
+    n, scale = _to_n(kind, min(value_clamped, _row(kind).from_n(_reach(q))), q)
     return EstimateResult(
         kind=kind,
         variant=variant,

@@ -48,6 +48,14 @@ TOMO_FLAG = 1 << 62
 _DEFAULT_GRID = tuple(round(0.1 * k, 10) for k in range(11))
 
 
+def check_seed(seed: int) -> int:
+    """seed, if it is an integer in [-2**63, 2**63); streams key a seed mod
+    2**64, so a wider range would alias seeds silently."""
+    if not isinstance(seed, int) or not -2 ** 63 <= seed < 2 ** 63:
+        raise ConfigError(f"seed must be an integer in [-2**63, 2**63), got {seed!r}")
+    return seed
+
+
 @dataclass(frozen=True)
 class SweepConfig:
     """Sweep parameters; defaults reproduce the reference figure layout."""
@@ -71,8 +79,7 @@ class SweepConfig:
             raise ConfigError(f"n_shots must lie in [1, 2**63 - 1], got {self.n_shots}")
         if self.repetitions < 2:
             raise ConfigError("repetitions must be >= 2 for a standard deviation")
-        if not isinstance(self.master_seed, int):
-            raise ConfigError("master_seed must be an integer")
+        check_seed(self.master_seed)
         if self.mixing_mode not in MIXING_MODES:
             raise ConfigError(f"mixing_mode must be one of {MIXING_MODES}, "
                               f"got {self.mixing_mode!r}")
@@ -183,40 +190,47 @@ def _run_indices(cfg: SweepConfig, point: int, slot: int) -> range:
     return range(start, start + 8 * cfg.repetitions, 8)
 
 
-def _draw_point(cfg: SweepConfig, p: float, point: int) -> np.ndarray:
-    """(M, 4) DA,DA count records of a grid point, one keyed batch per slot."""
-    def draw(slot: int, probs: np.ndarray) -> np.ndarray:
-        return measurement.draw_counts_keyed(probs, cfg.n_shots, cfg.master_seed,
-                                             _run_indices(cfg, point, slot))
-
-    def da(rho: np.ndarray) -> np.ndarray:
-        return measurement.outcome_probabilities(rho, measurement.DA_DA)
-
-    if cfg.mixing_mode == DIRECT_STATE:
-        return draw(SLOT_DIRECT, da(states.family_state(p, cfg.q)))
-    pure = draw(SLOT_PURE, da(states.family_state(1.0, cfg.q)))
-    mix = draw(SLOT_MIX, da(states.dephased_mixture()))
-    return draw(SLOT_SELECT, measurement.mixture_law(pure, mix, p))
+def _da_law(rho: np.ndarray | states.CheckedState) -> np.ndarray:
+    return measurement.outcome_probabilities(rho, measurement.DA_DA)
 
 
-def _fit_p(cfg: SweepConfig, p: float, point: int) -> float:
-    rho = states.family_state(p, cfg.q)
+def _draw(cfg: SweepConfig, point: int, slot: int, probs: np.ndarray) -> np.ndarray:
+    """(M, 4) DA,DA count records of one slot at a grid point, one keyed batch."""
+    return measurement.draw_counts_keyed(probs, cfg.n_shots, cfg.master_seed,
+                                         _run_indices(cfg, point, slot))
+
+
+def _fit_p(cfg: SweepConfig, state: states.CheckedState, point: int) -> float:
     stream = RandomStream(cfg.master_seed, TOMO_FLAG | point)
-    dataset = tomography.simulate_tomography(rho, cfg.n_shots, stream)
+    dataset = tomography.simulate_tomography(state, cfg.n_shots, stream)
     recon = tomography.reconstruct_mle(dataset)
     return states.fit_family_params(recon.state).p
 
 
 def run_sweep(cfg: SweepConfig) -> list[SweepRow]:
-    """M repeated six-estimator runs at every grid point, plus a tomographic fit."""
+    """M repeated six-estimator runs at every grid point, plus a tomographic fit.
+
+    Each point's state is checked once, for its draws and its tomography;
+    PostProcessMix draws from the pure and dephased laws, the same at every
+    point.
+    """
     cfg.validate()
     n = states.negativity_closed(np.array(cfg.p_grid), cfg.q)
     truth = {kind: states.MEASURES[kind].from_n(n) for kind in SWEEP_KINDS}
     nonopt = {kind: estimation.nonopt_unc_curves(kind, v) for kind, v in truth.items()}
     qcrb = {kind: estimation.qcrb_unc(kind, v, cfg.q) for kind, v in truth.items()}
+    if cfg.mixing_mode == POST_PROCESS_MIX:
+        pure = _da_law(states.family_state(1.0, cfg.q))
+        dephased = _da_law(states.dephased_mixture())
     rows = []
     for point, p in enumerate(cfg.p_grid):
-        counts = _draw_point(cfg, p, point)
+        state = states.check_state(states.family_state(p, cfg.q))
+        if cfg.mixing_mode == DIRECT_STATE:
+            counts = _draw(cfg, point, SLOT_DIRECT, _da_law(state))
+        else:
+            law = measurement.mixture_law(_draw(cfg, point, SLOT_PURE, pure),
+                                          _draw(cfg, point, SLOT_MIX, dephased), p)
+            counts = _draw(cfg, point, SLOT_SELECT, law)
         stats = []
         for kind in SWEEP_KINDS:
             for variant in estimation.VARIANTS:
@@ -231,7 +245,7 @@ def run_sweep(cfg: SweepConfig) -> list[SweepRow]:
                     unc_nonopt=float(nonopt[kind][point]),
                     unc_qcrb=float(qcrb[kind][point]),
                 ))
-        rows.append(SweepRow(p_true=float(p), p_fitted=_fit_p(cfg, p, point),
+        rows.append(SweepRow(p_true=float(p), p_fitted=_fit_p(cfg, state, point),
                              stats=stats))
     return rows
 

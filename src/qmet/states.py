@@ -148,17 +148,9 @@ def _pt_trace_norm(state: CheckedState) -> float:
     return float(np.sum(np.abs(np.linalg.eigvalsh(matcore.partial_transpose_a(state.rho)))))
 
 
-def _negativity_from_tn(tn: float) -> float:
-    return float(np.clip(tn - 1.0, 0.0, 1.0))
-
-
-def _log_negativity_from_tn(tn: float) -> float:
-    return float(np.log2(np.clip(tn, 1.0, 2.0)))
-
-
 def negativity(rho: np.ndarray | CheckedState) -> float:
     """N(rho) = ||rho^{T_A}||_1 - 1, clamped to [0, 1]."""
-    return _negativity_from_tn(_pt_trace_norm(check_state(rho)))
+    return float(np.clip(_pt_trace_norm(check_state(rho)) - 1.0, 0.0, 1.0))
 
 
 def negativity_closed(p, q: float):
@@ -167,8 +159,8 @@ def negativity_closed(p, q: float):
 
 
 def log_negativity(rho: np.ndarray | CheckedState) -> float:
-    """L(rho) = log2 ||rho^{T_A}||_1, clamped to [0, 1]."""
-    return _log_negativity_from_tn(_pt_trace_norm(check_state(rho)))
+    """L(rho) = log2 ||rho^{T_A}||_1 = log2(1 + N(rho)), in [0, 1]."""
+    return float(MEASURES[LOG_NEGATIVITY].from_n(negativity(rho)))
 
 
 def log_negativity_closed(p: float, q: float) -> float:
@@ -224,16 +216,13 @@ def qgd_closed(p: float, q: float) -> float:
 
 def measures(rho: np.ndarray | CheckedState) -> dict[str, float]:
     """All four measure values of a state, from one validation and one
-    partial-transpose trace norm."""
+    partial-transpose trace norm: each reads from_n of the negativity, except
+    the concurrence, which is the state's own Wootters value."""
     state = check_state(rho)
-    tn = _pt_trace_norm(state)
-    n = _negativity_from_tn(tn)
-    return {
-        NEGATIVITY: n,
-        LOG_NEGATIVITY: _log_negativity_from_tn(tn),
-        CONCURRENCE: _concurrence(state),
-        QGD: float(MEASURES[QGD].from_n(n)),
-    }
+    n = negativity(state)
+    values = {kind: float(row.from_n(n)) for kind, row in MEASURES.items()}
+    values[CONCURRENCE] = _concurrence(state)
+    return values
 
 
 def fidelity(rho_a: np.ndarray | CheckedState, rho_b: np.ndarray | CheckedState) -> float:

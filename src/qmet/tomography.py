@@ -49,14 +49,9 @@ MAX_SWEEPS = 5000
 LI_PSD_TOL = -1e-6
 
 
-def standard_settings() -> list[measurement.Setting]:
-    """The 9 joint settings in fixed (HV, DA, RL) x (HV, DA, RL) order."""
-    return list(measurement.SETTINGS)
-
-
 @dataclass
 class TomoDataset:
-    """(9, 4) counts of the standard settings, rows in standard_settings() order.
+    """(9, 4) counts of the standard settings, rows in measurement.SETTINGS order.
 
     counts are finite non-negative reals: integers for measured data, possibly
     fractional for exact-probability (infinite-shot) injections.

@@ -67,16 +67,18 @@ class TestSample:
         assert record["seed"] == 3
         assert sum(record[k] for k in ("n_pp", "n_pm", "n_mp", "n_mm")) == 500
 
-    def test_env_seed_fallback(self, capsys, monkeypatch):
-        monkeypatch.setenv("QMET_SEED", "123")
-        code, out = run_main(capsys, ["sample", "--p", "0.5", "--q", "0.5",
-                                      "--n", "10"])
-        assert code == 0
-        assert json.loads(out)["seed"] == 123
+    def test_seed_defaults_to_42(self, capsys):
+        argv = ["sample", "--p", "0.5", "--n", "1000"]
+        _, out = run_main(capsys, argv)
+        assert out == run_main(capsys, argv + ["--seed", "42"])[1]
+        assert json.loads(out)["seed"] == 42
 
-    def test_bad_env_seed_is_config_error(self, capsys, monkeypatch):
-        monkeypatch.setenv("QMET_SEED", "not-a-number")
-        assert cli.main(["sample", "--p", "0.5", "--q", "0.5", "--n", "10"]) == 2
+    @pytest.mark.parametrize("seed", [str(-2 ** 63), str(2 ** 63 - 1)])
+    def test_int64_seed_extremes_are_drawn(self, capsys, seed):
+        code, out = run_main(capsys, ["sample", "--p", "0.5", "--n", "1000",
+                                      "--seed", seed])
+        assert code == 0
+        assert json.loads(out)["seed"] == int(seed)
 
     def test_largest_shot_count_is_drawn(self, capsys):
         code, out = run_main(capsys, ["sample", "--p", "0.5", "--n", str(2 ** 63 - 1)])
@@ -94,6 +96,24 @@ def test_shot_counts_beyond_int64_are_rejected(capsys, argv, code):
     assert cli.main(argv) == code
     captured = capsys.readouterr()
     assert "2**63 - 1" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("seed", [str(2 ** 64), str(2 ** 64 - 1), str(2 ** 63),
+                                  str(-2 ** 63 - 1)])
+@pytest.mark.parametrize("argv", [
+    ["sample", "--p", "0.5", "--n", "1000"],
+    ["estimate", "--kind", "negativity", "--variant", "optimal", "--p", "0.5",
+     "--n", "1000"],
+    ["tomo", "--p", "0.5", "--n-per-setting", "100"],
+    ["sweep", "--print-config"],
+])
+def test_seeds_beyond_int64_are_rejected(capsys, argv, seed):
+    # the streams key a seed mod 2**64: 2**64 would draw seed 0's record
+    # and 2**64 - 1 seed -1's
+    assert cli.main(argv + ["--seed", seed]) == 2
+    captured = capsys.readouterr()
+    assert "[-2**63, 2**63)" in captured.err
     assert captured.out == ""
 
 

@@ -71,12 +71,9 @@ def test_raw_value_reported_with_clamped_companion():
     assert r.theory_unc_single_shot == pytest.approx(np.sqrt(3.0), abs=1e-12)
 
 
-def test_at_value_moves_curve_evaluation_point():
-    c = counts(100, 400, 400, 100)
-    r = est.estimate(N, OPT, c, at_value=0.0)
-    assert r.qcrb_unc_single_shot == pytest.approx(1.0, abs=1e-12)
-    r2 = est.estimate(N, OPT, c)
-    assert r2.qcrb_unc_single_shot == pytest.approx(np.sqrt(1 - 0.36), abs=1e-12)
+def test_curves_are_evaluated_at_the_clamped_estimate():
+    r = est.estimate(N, OPT, counts(100, 400, 400, 100))
+    assert r.qcrb_unc_single_shot == pytest.approx(np.sqrt(1 - 0.36), abs=1e-12)
 
 
 def test_estimate_dispatch_and_record():
@@ -211,16 +208,21 @@ def _kernel_records() -> np.ndarray:
         for n in (1, 2, 7, 100, 10_000)])
     edges = np.array([
         [500, 0, 0, 0],   # all ++: log floor, and clamping at both ends
+        [9, 0, 0, 0],
         [0, 500, 500, 0],
         [250, 250, 250, 250],
         [0, 0, 0, 9],
+        [5, 1, 2, 2],     # f_pp = 1/2: the non-optimal log floor alone
+        [3, 0, 0, 3],     # v = -1 in both variants
+        [1, 23, 0, 0],    # f_pp < 1/16: see ORACLE_ULPS
         [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1],  # n = 1
     ])
     return np.concatenate([sampled, edges])
 
 
 def _reference_estimate(kind, variant, record) -> tuple[float, bool]:
-    """Raw estimate and log-floor flag of one record, in plain float arithmetic."""
+    """Raw estimate and log-floor flag of one record, each kind's formula
+    written out in plain float arithmetic."""
     n = sum(record)
     f = [c / n for c in record]
     v = 1.0 - 4.0 * f[0] if variant == est.NONOPTIMAL else f[1] + f[2] - f[0] - f[3]
@@ -234,15 +236,31 @@ def _reference_estimate(kind, variant, record) -> tuple[float, bool]:
     return v, False
 
 
+# The kernel takes log2(1 + v) of the rounded v = 1 - 4 f_pp where the oracle
+# takes log2(2 - 4 f_pp) in one rounding: for f_pp < 1/16 the two can differ
+# by up to 2 ulps. Every other estimate is the oracle's bit for bit.
+ORACLE_ULPS = {(states.LOG_NEGATIVITY, est.NONOPTIMAL): 2}
+
+
+@pytest.mark.parametrize("kind,variant", ALL_ESTIMATORS)
+def test_array_kernel_matches_the_per_kind_oracle(kind, variant):
+    # the sampled and edge records, and every (n, n_pp) split up to n = 64
+    grid = [[n_pp, n - n_pp, 0, 0] for n in range(1, 65) for n_pp in range(n + 1)]
+    records = np.concatenate([_kernel_records(), grid])
+    raw, floored = est.estimator_values(kind, variant, records)
+    reference = [_reference_estimate(kind, variant, r.tolist()) for r in records]
+    expected = np.array([value for value, _ in reference])
+    ulps = np.abs(raw - expected) / np.spacing(np.abs(expected))
+    assert ulps.max() <= ORACLE_ULPS.get((kind, variant), 0)
+    assert floored.tolist() == [flag for _, flag in reference]
+
+
 @pytest.mark.parametrize("kind,variant", ALL_ESTIMATORS)
 def test_array_kernel_matches_estimate_bitwise(kind, variant):
     records = _kernel_records()
     raw, floored = est.estimator_values(kind, variant, records)
     value_clamped = est.clip_to_range(kind, raw)
     clamped = floored | (value_clamped != raw)
-    reference = [_reference_estimate(kind, variant, r.tolist()) for r in records]
-    assert raw.tobytes() == np.array([value for value, _ in reference]).tobytes()
-    assert floored.tolist() == [flag for _, flag in reference]
     scalar = [est.estimate(kind, variant, counts(*map(int, r))) for r in records]
     assert raw.tobytes() == np.array([r.value for r in scalar]).tobytes()
     assert value_clamped.tobytes() == np.array(

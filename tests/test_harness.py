@@ -96,6 +96,7 @@ class TestConfig:
         dict(repetitions=1),
         dict(variance_reps=1_000),  # removed knob: now an unknown key
         dict(mixing_mode="Bogus"),
+        dict(master_seed=2 ** 64),  # keyed mod 2**64, it would alias seed 0
     ])
     def test_validate_rejects(self, kw):
         with pytest.raises(ConfigError):
@@ -324,14 +325,26 @@ class TestStddevScaling:
         assert scaled == pytest.approx(0.8, rel=0.25)
 
 
-def test_fit_p_makes_two_eigensolves(eigensolves):
-    # simulate validates rho and the MLE start makes one; the MLE's state
-    # goes to the fit, which needs none
+def test_fit_p_makes_one_eigensolve(eigensolves):
+    # simulate reads the checked state and the MLE start makes one; the
+    # MLE's state goes to the fit, which needs none
     cfg = small_config()
     for point, p in enumerate(cfg.p_grid):
+        state = states.check_state(states.family_state(p, cfg.q))
         eigensolves.clear()
-        harness._fit_p(cfg, p, point)
-        assert 0 < len(eigensolves) <= 2
+        harness._fit_p(cfg, state, point)
+        assert len(eigensolves) == 1
+
+
+@pytest.mark.parametrize("mode, budget", [
+    # per point: one check of rho(p, q) and the MLE start; PostProcessMix
+    # adds the pure and dephased DA,DA laws once per sweep
+    (harness.DIRECT_STATE, 2 * 11),
+    (harness.POST_PROCESS_MIX, 2 * 11 + 2),
+])
+def test_default_sweep_eigensolve_budget(eigensolves, mode, budget):
+    harness.run_sweep(harness.build_config(mixing_mode=mode))
+    assert 0 < len(eigensolves) <= budget
 
 
 @pytest.mark.parametrize("q", [0.1, 0.2, 0.3, 0.35, 0.7])

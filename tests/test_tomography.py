@@ -93,7 +93,7 @@ def log_likelihood_gain(dataset: tomography.TomoDataset, rho: np.ndarray,
 
 class TestSettings:
     def test_nine_settings_in_grid_order(self):
-        got = tomography.standard_settings()
+        got = measurement.SETTINGS
         assert len(got) == 9
         labels = [s.label() for s in got]
         assert labels == ["HV,HV", "HV,DA", "HV,RL",
@@ -101,7 +101,7 @@ class TestSettings:
                           "RL,HV", "RL,DA", "RL,RL"]
 
     def test_thirty_six_projectors_complete_per_setting(self):
-        for setting in tomography.standard_settings():
+        for setting in measurement.SETTINGS:
             projs = measurement.setting_projectors(setting)
             assert len(projs) == 4
             np.testing.assert_allclose(sum(projs), np.eye(4), atol=1e-12)
@@ -125,7 +125,7 @@ class TestDataset:
             ds = tomography.simulate_tomography(rho, 1000, RandomStream(13, 4))
             stream = RandomStream(13, 4)
             expected = [measurement.sample_counts(rho, s, 1000, stream).as_array()
-                        for s in tomography.standard_settings()]
+                        for s in measurement.SETTINGS]
             np.testing.assert_array_equal(ds.counts, np.array(expected))
 
     @pytest.mark.parametrize("rho", [
@@ -147,7 +147,7 @@ class TestDataset:
         rho = states.family_state(0.37, 0.83)
         n = 10**5
         ds = tomography.simulate_tomography(rho, n, RandomStream(21, 9))
-        for setting, row in zip(tomography.standard_settings(), ds.counts):
+        for setting, row in zip(measurement.SETTINGS, ds.counts):
             probs = measurement.outcome_probabilities(rho, setting)
             sigma = np.sqrt(probs * (1 - probs) / n)
             assert np.all(np.abs(row / n - probs) <= 5 * sigma + 1e-12)
