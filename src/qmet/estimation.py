@@ -256,9 +256,9 @@ def qfi_numeric(curve: MeasurePath, theta: float,
     POVM the report also carries its classical Fisher information.
     """
     rho, tangent, scale = curve(theta)
-    eig = matcore.hermitian_eig(rho)
-    vals = matcore.clamp_psd_spectrum(eig.values, tol=1e-8)
-    m = eig.vectors.conj().T @ tangent @ eig.vectors
+    values, vectors = matcore.hermitian_eig(rho)
+    vals = matcore.clamp_psd_spectrum(values, tol=1e-8)
+    m = vectors.conj().T @ tangent @ vectors
     denom = vals[:, None] + vals[None, :]
     keep = denom > EIG_PAIR_FLOOR
     if scale == 0.0 or np.any(np.abs(m[~keep]) > EIG_PAIR_FLOOR):

@@ -3,11 +3,10 @@
 Everything downstream (partial transpose, matrix square roots, fidelities,
 Fisher information) reduces to Hermitian eigenproblems of tiny matrices. The
 package checks hermiticity itself, within HERMITICITY_TOL, and then hands the
-hermitized matrix to LAPACK through ``np.linalg.eigh``.
+hermitized matrix to LAPACK through ``np.linalg.eigh``, whose
+(values, vectors) pair it returns as is.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,18 +43,10 @@ def require_hermitian(a: np.ndarray, tol: float = HERMITICITY_TOL) -> np.ndarray
     return 0.5 * (a + a.conj().T)
 
 
-@dataclass
-class HermitianEigen:
-    """Eigenvalues (ascending, real) and orthonormal eigenvector columns."""
-
-    values: np.ndarray
-    vectors: np.ndarray
-
-
-def hermitian_eig(a: np.ndarray) -> HermitianEigen:
-    """Full eigensystem of a Hermitian matrix (LAPACK ``eigh``), values ascending."""
-    values, vectors = np.linalg.eigh(require_hermitian(a))
-    return HermitianEigen(values, vectors)
+def hermitian_eig(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.linalg.eigh`` of a checked Hermitian matrix: real eigenvalues in
+    ascending order and orthonormal eigenvector columns."""
+    return np.linalg.eigh(require_hermitian(a))
 
 
 def clamp_psd_spectrum(values: np.ndarray, tol: float = PSD_CLAMP_TOL) -> np.ndarray:
@@ -70,9 +61,9 @@ def trace_norm(a: np.ndarray) -> float:
     """Trace norm ||A||_1 (sum of singular values; sum |eig| for Hermitian A)."""
     a = require_square(a)
     if frobenius(a - a.conj().T) <= HERMITICITY_TOL:
-        return float(np.sum(np.abs(hermitian_eig(a).values)))
-    gram = hermitian_eig(a.conj().T @ a)
-    return float(np.sum(np.sqrt(clamp_psd_spectrum(gram.values, tol=1e-8))))
+        return float(np.sum(np.abs(hermitian_eig(a)[0])))
+    gram = hermitian_eig(a.conj().T @ a)[0]
+    return float(np.sum(np.sqrt(clamp_psd_spectrum(gram, tol=1e-8))))
 
 
 def partial_transpose_a(rho: np.ndarray) -> np.ndarray:
@@ -89,16 +80,6 @@ def partial_transpose_a(rho: np.ndarray) -> np.ndarray:
 
 def psd_sqrt(a: np.ndarray) -> np.ndarray:
     """Hermitian square root S of a PSD matrix A, with S @ S ~ A to 1e-9."""
-    eig = hermitian_eig(a)
-    vals = clamp_psd_spectrum(eig.values)
-    s = (eig.vectors * np.sqrt(vals)) @ eig.vectors.conj().T
+    values, vectors = hermitian_eig(a)
+    s = (vectors * np.sqrt(clamp_psd_spectrum(values))) @ vectors.conj().T
     return 0.5 * (s + s.conj().T)
-
-
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product of two single-qubit (2x2) operators."""
-    a = require_square(a)
-    b = require_square(b)
-    if a.shape != (2, 2) or b.shape != (2, 2):
-        raise DomainError(f"kron expects 2x2 factors, got {a.shape} and {b.shape}")
-    return np.kron(a, b)

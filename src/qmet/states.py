@@ -178,7 +178,7 @@ def concurrence(rho: np.ndarray | CheckedState) -> float:
     return _concurrence(check_state(rho))
 
 
-_YY = matcore.kron(matcore.SIGMA_Y, matcore.SIGMA_Y)
+_YY = np.kron(matcore.SIGMA_Y, matcore.SIGMA_Y)
 _YY.setflags(write=False)
 
 

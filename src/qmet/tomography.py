@@ -8,7 +8,8 @@ reconstructors are provided:
 * linear inversion: the least-squares state of the empirical frequencies f_x
   in closed form, rho = sum_x f_x D_x over the canonical dual frame
   D_x = (P_a - I/3) (x) (P_b - I/3) of the projectors. Exact on exact data
-  but not guaranteed PSD (flagged).
+  but not guaranteed PSD; its physical state is the clipped, renormalised
+  spectrum (project_physical).
 * maximum likelihood: the multiplicative R rho R fixed-point iteration run on
   a square-root factor a of the state (rho = a a^dag), accelerated by squared
   extrapolation (SQUAREM). The factor has the estimate's own rank: it starts
@@ -17,9 +18,8 @@ reconstructors are provided:
   rank is accepted only under the KKT condition R / N <= I, certified by a
   Cholesky factorisation; otherwise the top eigenvector of R joins the
   factor and the ascent goes on. Every iterate is a congruence a a^dag, so
-  PSD and unit trace hold at every step; a cycle that is not uphill falls
-  back to the R step diluted toward the identity. One reported iteration is
-  one SQUAREM cycle.
+  PSD and unit trace hold at every step, and a cycle moves only uphill. One
+  reported iteration is one SQUAREM cycle.
 
 Eigensolve budget per state (np.linalg.eigh / eigvalsh calls):
 simulate_tomography 1 (validating rho), reconstruct_mle 1 (the start) plus
@@ -46,7 +46,6 @@ LL_TOL = 1e-10
 KKT_TOL = 1e-6
 GROWTH_WEIGHT = 1e-3
 MAX_SWEEPS = 5000
-LI_PSD_TOL = -1e-6
 
 
 @dataclass
@@ -87,27 +86,15 @@ def simulate_tomography(rho: np.ndarray | states.CheckedState, n_per_setting: in
     return TomoDataset(measurement.draw_count_rows(probs, n_per_setting, stream))
 
 
-def exact_dataset(rho: np.ndarray, n_per_setting: float = 1.0) -> TomoDataset:
-    """Noiseless limit: probabilities scaled by n injected as fractional counts."""
-    return TomoDataset(measurement.probabilities(rho) * n_per_setting)
-
-
 @dataclass
 class Reconstruction:
-    """Reconstructed state plus bookkeeping from one reconstruction run.
+    """The physical state of one reconstruction, which reports read, its
+    log-likelihood and the run's iteration count and convergence flag."""
 
-    state is the physical state of the estimate rho_hat, which reports read;
-    min_eigenvalue (of rho_hat) is None where rho_hat is PSD by construction.
-    """
-
-    method: str
-    rho_hat: np.ndarray
     state: states.CheckedState
     log_likelihood: float
     iterations: int
     converged: bool = True
-    psd_ok: bool = True
-    min_eigenvalue: float | None = None
 
 
 # (36, 16) rows vec(D_x) of the canonical dual frame of the projectors. A
@@ -132,19 +119,18 @@ def project_physical(rho: np.ndarray) -> np.ndarray:
     clipping (Smolin, Gambetta and Smith, PRL 108, 070502 (2012)).
     One Hermitian check and one eigensolve.
     """
-    return _projection(rho)[1].rho
+    return _projection(rho).rho
 
 
-def _projection(rho: np.ndarray) -> tuple[float, states.CheckedState]:
-    """The minimum eigenvalue of a Hermitian estimate and its project_physical
-    state with factor V sqrt(lambda), from one eigensolve."""
+def _projection(rho: np.ndarray) -> states.CheckedState:
+    """The project_physical state of a Hermitian estimate with factor
+    V sqrt(lambda), from one eigensolve."""
     values, vectors = np.linalg.eigh(matcore.require_hermitian(rho, tol=1e-8))
-    min_eig = float(values[0])
     values = np.clip(values, 0.0, None)
     total = values.sum()
     if total <= 0.0:
         raise DomainError("state projection collapsed to zero")
-    return min_eig, states.CheckedState.from_factor(vectors * np.sqrt(values / total))
+    return states.CheckedState.from_factor(vectors * np.sqrt(values / total))
 
 
 def _linear_inversion(dataset: TomoDataset) -> np.ndarray:
@@ -156,18 +142,14 @@ def _linear_inversion(dataset: TomoDataset) -> np.ndarray:
 
 
 def reconstruct_linear(dataset: TomoDataset) -> Reconstruction:
-    """Least-squares inversion of the projector design on empirical frequencies."""
-    rho = _linear_inversion(dataset)
-    min_eig, state = _projection(rho)
+    """Least-squares inversion of the projector design on empirical
+    frequencies, carrying its project_physical state."""
+    state = _projection(_linear_inversion(dataset))
     probs = np.clip(measurement.probabilities(state), PROB_FLOOR, None)
     return Reconstruction(
-        method="linear_inversion",
-        rho_hat=rho,
         state=state,
         log_likelihood=float(np.sum(dataset.counts * np.log(probs))),
         iterations=0,
-        psd_ok=min_eig >= LI_PSD_TOL,
-        min_eigenvalue=min_eig,
     )
 
 
@@ -191,33 +173,31 @@ def reconstruct_mle(dataset: TomoDataset) -> Reconstruction:
     alpha = -||r|| / ||v||. When alpha < -1 the extrapolated factor
     x = a - 2 alpha r + alpha^2 v is normalised and F(x) replaces a2 if its
     likelihood is higher. Every candidate is a congruence x x^dag, so PSD
-    and unit trace hold by construction. If neither candidate beats the
-    current likelihood, the cycle takes the diluted step
-    ((1 - eps) I + eps R / N) a, normalised, with eps halving from 0.5
-    (Rehacek et al., PRA 75, 042108 (2007)).
+    and unit trace hold by construction. The cycle moves to the better
+    candidate if it is uphill and otherwise stays, which gains nothing.
 
-    A cycle that gains less than LL_TOL, or a dilution with no uphill
-    eps > 1e-6, ends the ascent on the current rank. At full rank that is
-    convergence. Below it, the state is the maximum only if it meets the KKT
-    condition R / N <= I of the same paper; lambda_max(R / N) <= 1 + KKT_TOL
-    is certified by a Cholesky factorisation, with no eigensolve. If the
-    certificate fails, the top eigenvector of R, the steepest uphill
-    direction off the current support, joins the factor as a new column of
-    weight GROWTH_WEIGHT and the ascent goes on. So a reconstruction makes
-    one eigensolve (the start) plus one per rank growth. Flagged as not
-    converged after MAX_SWEEPS cycles. ``iterations`` counts cycles, each of
-    two or three evaluations of F. The state is returned as the final
-    factor a, PSD with unit trace by construction, so min_eigenvalue is None.
+    A cycle that gains less than LL_TOL ends the ascent on the current rank.
+    At full rank that is convergence. Below it, the state is the maximum
+    only if it meets the KKT condition R / N <= I (Rehacek et al., PRA 75,
+    042108 (2007)); lambda_max(R / N) <= 1 + KKT_TOL is certified by a
+    Cholesky factorisation, with no eigensolve. If the certificate fails,
+    the top eigenvector of R, the steepest uphill direction off the current
+    support, joins the factor as a new column of weight GROWTH_WEIGHT and
+    the ascent goes on. So a reconstruction makes one eigensolve (the start)
+    plus one per rank growth. Flagged as not converged after MAX_SWEEPS
+    cycles. ``iterations`` counts cycles, each of two or three evaluations
+    of F. The state is returned as the final factor a, PSD with unit trace
+    by construction.
     """
     counts = dataset.counts.ravel()
     n_total = counts.sum()
 
     # the spectrum sums to 1, so its top eigenvalue is at least 1/4 > 0
-    eig = matcore.hermitian_eig(_linear_inversion(dataset))
-    rank = max(1, int(np.count_nonzero(eig.values > -eig.values[0])))
-    top = eig.values[4 - rank:]
-    a = eig.vectors[:, 4 - rank:] * np.sqrt(top / top.sum())
-    del eig, top
+    values, vectors = matcore.hermitian_eig(_linear_inversion(dataset))
+    rank = max(1, int(np.count_nonzero(values > -values[0])))
+    top = values[4 - rank:]
+    a = vectors[:, 4 - rank:] * np.sqrt(top / top.sum())
+    del values, vectors, top
 
     def probabilities(a: np.ndarray) -> np.ndarray:
         # (a a^dag)^T = a* a^T
@@ -243,9 +223,10 @@ def reconstruct_mle(dataset: TomoDataset) -> Reconstruction:
     def ll(probs: np.ndarray) -> float:
         return float(counts @ np.log(probs / p_ref))
 
-    # R a of the current factor is carried across cycles
-    f_cur = 0.0
-    ra = r_times(a, p_ref)
+    # the current factor's probabilities and, while the ascent goes on, its
+    # R a are carried across cycles
+    p_cur, f_cur = p_ref, 0.0
+    ra = r_times(a, p_cur)
     converged = False
     iterations = 0
     for iterations in range(1, MAX_SWEEPS + 1):
@@ -269,25 +250,13 @@ def reconstruct_mle(dataset: TomoDataset) -> Reconstruction:
             del x, ax, p_ax
         # temporaries are dropped as soon as they are dead: a reconstruction's
         # live arrays set the peak memory of a tomography run
-        del a1, p1, a2, p2, r, v
-        if f_best <= f_cur:
-            # dilute toward the identity until the step is uphill
-            eps = 0.5
-            while eps > 1e-6:
-                best = normalised((1.0 - eps) * a + (eps / n_total) * ra)
-                p_best = probabilities(best)
-                f_best = ll(p_best)
-                if f_best > f_cur:
-                    break
-                eps *= 0.5
-            else:
-                # stalled: stay, which gains nothing
-                best, p_best, f_best = a, probabilities(a), f_cur
-        del ra
+        del a1, p1, a2, p2, r, v, ra
         gain = f_best - f_cur
-        a, f_cur = best, f_best
+        if gain > 0.0:
+            a, p_cur, f_cur = best, p_best, f_best
+        del best, p_best
         if gain >= LL_TOL:
-            ra = r_times(a, p_best)
+            ra = r_times(a, p_cur)
             continue
         # stationary on the current rank, which at full rank is the maximum
         if a.shape[1] == 4:
@@ -295,7 +264,7 @@ def reconstruct_mle(dataset: TomoDataset) -> Reconstruction:
             break
         # the 36 projectors sum to 9 I, so (1 + KKT_TOL) I - R / N is one
         # more weighted sum of them
-        slack = operator((1.0 + KKT_TOL) / 9.0 - counts / (n_total * p_best))
+        slack = operator((1.0 + KKT_TOL) / 9.0 - counts / (n_total * p_cur))
         try:
             np.linalg.cholesky(slack)
         except np.linalg.LinAlgError:
@@ -308,14 +277,11 @@ def reconstruct_mle(dataset: TomoDataset) -> Reconstruction:
         a = np.concatenate([math.sqrt(1.0 - GROWTH_WEIGHT) * a,
                             math.sqrt(GROWTH_WEIGHT) * top], axis=1)
         del slack, top
-        p_best = probabilities(a)
-        f_cur = ll(p_best)
-        ra = r_times(a, p_best)
-    state = states.CheckedState.from_factor(a)
+        p_cur = probabilities(a)
+        f_cur = ll(p_cur)
+        ra = r_times(a, p_cur)
     return Reconstruction(
-        method="mle",
-        rho_hat=state.rho,
-        state=state,
+        state=states.CheckedState.from_factor(a),
         log_likelihood=ll_ref + f_cur,
         iterations=iterations,
         converged=converged,
@@ -342,9 +308,9 @@ def tomo_report(rho_true: np.ndarray | states.CheckedState,
     neither checked nor decomposed again, and the fit needs none. A rho_true
     checked by states.check_state skips its validation: three eigensolves.
     """
-    rho_hat = recon.state
+    state = recon.state
     return TomoReport(
-        fidelity=states.fidelity(rho_true, rho_hat),
-        fit=states.fit_family_params(rho_hat),
-        measures=states.measures(rho_hat),
+        fidelity=states.fidelity(rho_true, state),
+        fit=states.fit_family_params(state),
+        measures=states.measures(state),
     )

@@ -200,7 +200,7 @@ def _reference_csv(cfg: harness.SweepConfig) -> str:
         dataset = tomography.simulate_tomography(
             states.family_state(p, cfg.q), cfg.n_shots,
             RandomStream(cfg.master_seed, harness.TOMO_FLAG | point))
-        rho_hat = tomography.project_physical(tomography.reconstruct_mle(dataset).rho_hat)
+        rho_hat = tomography.project_physical(tomography.reconstruct_mle(dataset).state.rho)
         rows.append(harness.SweepRow(float(p), states.fit_family_params(rho_hat).p, stats))
     return harness.csv_text(rows, cfg)
 

@@ -18,7 +18,7 @@ def test_mle_is_physical_and_dominates_linear_inversion(p, q, n_per_setting, see
     ds = tomography.simulate_tomography(rho, n_per_setting, RandomStream(seed))
     rec = tomography.reconstruct_mle(ds)
     assert rec.converged
-    rho_hat = rec.rho_hat
+    rho_hat = rec.state.rho
     np.testing.assert_allclose(rho_hat, rho_hat.conj().T, rtol=0.0, atol=1e-12)
     assert abs(np.trace(rho_hat).real - 1.0) < 1e-12
     assert np.linalg.eigvalsh(rho_hat).min() > -1e-12
@@ -36,7 +36,7 @@ def test_converged_mle_meets_the_kkt_condition(p, q, n_per_setting, seed):
     assert rec.converged
     counts = ds.counts.ravel()
     rows = measurement.PROJECTORS.reshape(36, 16)  # row x is vec(P_x)
-    probs = np.maximum((rows.conj() @ rec.rho_hat.ravel()).real, tomography.PROB_FLOOR)
+    probs = np.maximum((rows.conj() @ rec.state.rho.ravel()).real, tomography.PROB_FLOOR)
     r = ((counts / probs) @ rows).reshape(4, 4)
     assert np.linalg.eigvalsh(r / counts.sum())[-1] <= 1.0 + tomography.KKT_TOL
 

@@ -217,17 +217,17 @@ def psd_sqrt_fidelity(a, b):
     """Reference: Tr sqrt(sqrt(a) b sqrt(a)) through the Hermitian square root."""
     root = matcore.psd_sqrt(states.validate_density_matrix(a))
     inner = root @ states.validate_density_matrix(b) @ root
-    return float(np.clip(np.sum(states._sqrt_spectrum(matcore.hermitian_eig(inner).values)),
+    return float(np.clip(np.sum(states._sqrt_spectrum(matcore.hermitian_eig(inner)[0])),
                          0.0, 1.0))
 
 
 def psd_sqrt_concurrence(rho):
     """Reference: the l_i as the square roots of the spectrum of sqrt(rho) rho~ sqrt(rho)."""
     rho = states.validate_density_matrix(rho)
-    yy = matcore.kron(matcore.SIGMA_Y, matcore.SIGMA_Y)
+    yy = np.kron(matcore.SIGMA_Y, matcore.SIGMA_Y)
     root = matcore.psd_sqrt(rho)
     inner = root @ (yy @ rho.conj() @ yy) @ root
-    lam = np.sort(states._sqrt_spectrum(matcore.hermitian_eig(inner).values))[::-1]
+    lam = np.sort(states._sqrt_spectrum(matcore.hermitian_eig(inner)[0]))[::-1]
     return float(np.clip(lam[0] - lam[1] - lam[2] - lam[3], 0.0, 1.0))
 
 
@@ -334,7 +334,7 @@ def _grid_min_residual(rho, n=401):
 
 def _noisy_reconstruction(rho, n, stream):
     ds = tomography.simulate_tomography(rho, n, stream)
-    return tomography.project_physical(tomography.reconstruct_mle(ds).rho_hat)
+    return tomography.project_physical(tomography.reconstruct_mle(ds).state.rho)
 
 
 def test_fit_reaches_least_squares_optimum_near_p_zero():
