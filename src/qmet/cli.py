@@ -108,7 +108,7 @@ def cmd_estimate(args) -> int:
 def cmd_sweep(args) -> int:
     file_text = None
     if args.config is not None:
-        with open(args.config, "r", encoding="utf-8") as fh:
+        with open(args.config, "r", encoding="utf-8-sig") as fh:
             try:
                 file_text = fh.read()
             except UnicodeDecodeError as exc:

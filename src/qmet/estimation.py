@@ -253,11 +253,13 @@ def qfi_numeric(curve: MeasurePath, theta: float,
     A tangent entry on a pair below the floor means the path leaves the
     support (the pure end, N = reach): the QFI is infinite and the QCRB 0, the
     closed bound there, and so at dfrom_n(N) = 0 (discord theta = 0). With a
-    POVM the report also carries its classical Fisher information.
+    POVM the report also carries its classical Fisher information. Near the
+    pure end eigh resolves the eigenvalue (1 - N)/2 only to ~1e-16, so QFI and
+    CFI are exact to ~1e-16/(1 - N) relatively; the QCRB stays within 2e-12.
     """
     rho, tangent, scale = curve(theta)
     values, vectors = matcore.hermitian_eig(rho)
-    vals = matcore.clamp_psd_spectrum(values, tol=1e-8)
+    vals = matcore.clamp_psd_spectrum(values, tol=matcore.SPECTRUM_TOL)
     m = vectors.conj().T @ tangent @ vectors
     denom = vals[:, None] + vals[None, :]
     keep = denom > EIG_PAIR_FLOOR
@@ -277,14 +279,15 @@ def cfi_numeric(curve: MeasurePath, theta: float, povm: np.ndarray) -> float:
     An outcome with p_x at round-off (<= 1e-15) adds 0 if dp_x = 0 and is
     infinite otherwise: the path leaves the simplex. (A floor at
     EIG_PAIR_FLOOR would do so up to ~4e-11 inside the reach, where the QFI
-    is still finite.)
+    is still finite.) Near the pure end it is exact only to ~1e-16/(1 - N)
+    relatively, as the vanishing p_x are exact only to ~1e-16.
     """
     povm = np.asarray(povm)
-    if matcore.frobenius(povm - povm.conj().swapaxes(1, 2)) > 1e-10:
+    if np.linalg.norm(povm - povm.conj().swapaxes(1, 2)) > matcore.ROUND_OFF_TOL:
         raise DomainError("POVM elements are not Hermitian")
-    if matcore.frobenius(povm.sum(axis=0) - np.eye(4)) > 1e-10:
+    if np.linalg.norm(povm.sum(axis=0) - np.eye(4)) > matcore.ROUND_OFF_TOL:
         raise DomainError("POVM elements do not sum to the identity")
-    matcore.clamp_psd_spectrum(np.linalg.eigvalsh(povm), tol=1e-10)
+    matcore.clamp_psd_spectrum(np.linalg.eigvalsh(povm))
     rho, tangent, scale = curve(theta)
     p, dp = np.einsum("sij,xji->sx", np.stack([rho, tangent]), povm).real
     dead = p <= 1e-15

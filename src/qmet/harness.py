@@ -58,7 +58,7 @@ def check_seed(seed: int) -> int:
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """Sweep parameters; defaults reproduce the reference figure layout."""
+    """Sweep parameters, checked when built; defaults give the reference figures."""
 
     q: float = 0.5
     p_grid: tuple[float, ...] = _DEFAULT_GRID
@@ -67,7 +67,7 @@ class SweepConfig:
     master_seed: int = 42
     mixing_mode: str = DIRECT_STATE
 
-    def validate(self) -> "SweepConfig":
+    def __post_init__(self):
         if not 0.0 <= self.q <= 1.0:
             raise ConfigError(f"q must lie in [0, 1], got {self.q}")
         if len(self.p_grid) == 0:
@@ -79,11 +79,13 @@ class SweepConfig:
             raise ConfigError(f"n_shots must lie in [1, 2**63 - 1], got {self.n_shots}")
         if self.repetitions < 2:
             raise ConfigError("repetitions must be >= 2 for a standard deviation")
+        if len(self.p_grid) * self.repetitions * 8 > TOMO_FLAG:
+            raise ConfigError(f"{len(self.p_grid)} grid points x {self.repetitions} repetitions"
+                              " x 8 run indices exceed 2**62, the first tomography stream")
         check_seed(self.master_seed)
         if self.mixing_mode not in MIXING_MODES:
             raise ConfigError(f"mixing_mode must be one of {MIXING_MODES}, "
                               f"got {self.mixing_mode!r}")
-        return self
 
     def to_text(self) -> str:
         grid = ", ".join(format(p, ".12g") for p in self.p_grid)
@@ -161,7 +163,7 @@ def build_config(file_text: str | None = None, **overrides) -> SweepConfig:
         merged[key] = value
     if "p_grid" in merged:
         merged["p_grid"] = tuple(float(p) for p in merged["p_grid"])
-    return dataclasses.replace(SweepConfig(), **merged).validate()
+    return dataclasses.replace(SweepConfig(), **merged)
 
 
 @dataclass
@@ -214,7 +216,6 @@ def run_sweep(cfg: SweepConfig) -> list[SweepRow]:
     PostProcessMix draws from the pure and dephased laws, the same at every
     point.
     """
-    cfg.validate()
     n = states.negativity_closed(np.array(cfg.p_grid), cfg.q)
     truth = {kind: states.MEASURES[kind].from_n(n) for kind in SWEEP_KINDS}
     nonopt = {kind: estimation.nonopt_unc_curves(kind, v) for kind, v in truth.items()}

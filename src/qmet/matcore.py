@@ -2,9 +2,11 @@
 
 Everything downstream (partial transpose, matrix square roots, fidelities,
 Fisher information) reduces to Hermitian eigenproblems of tiny matrices. The
-package checks hermiticity itself, within HERMITICITY_TOL, and then hands the
-hermitized matrix to LAPACK through ``np.linalg.eigh``, whose
-(values, vectors) pair it returns as is.
+package checks hermiticity itself and then hands the hermitized matrix to
+LAPACK through ``np.linalg.eigh``, whose (values, vectors) pair it returns as
+is. Two round-off allowances serve the whole package: ROUND_OFF_TOL for a
+matrix or probability that is given or built exactly, SPECTRUM_TOL for spectra
+and estimates computed from products of matrices.
 """
 from __future__ import annotations
 
@@ -15,13 +17,8 @@ from .errors import DomainError
 # Pauli-Y in the sign convention used throughout this package.
 SIGMA_Y = np.array([[0.0, 1.0j], [-1.0j, 0.0]])
 
-HERMITICITY_TOL = 1e-10
-PSD_CLAMP_TOL = 1e-10
-
-
-def frobenius(a: np.ndarray) -> float:
-    """Frobenius norm ||A||_F."""
-    return float(np.sqrt(np.sum(np.abs(a) ** 2)))
+ROUND_OFF_TOL = 1e-10
+SPECTRUM_TOL = 1e-8
 
 
 def require_square(a: np.ndarray) -> np.ndarray:
@@ -34,10 +31,10 @@ def require_square(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def require_hermitian(a: np.ndarray, tol: float = HERMITICITY_TOL) -> np.ndarray:
+def require_hermitian(a: np.ndarray, tol: float = ROUND_OFF_TOL) -> np.ndarray:
     """Check ||A - A^dag||_F <= tol and return the hermitized (A + A^dag)/2."""
     a = require_square(a)
-    dev = frobenius(a - a.conj().T)
+    dev = np.linalg.norm(a - a.conj().T)
     if dev > tol:
         raise DomainError(f"matrix is not Hermitian within {tol:g} (deviation {dev:.3e})")
     return 0.5 * (a + a.conj().T)
@@ -49,7 +46,7 @@ def hermitian_eig(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.linalg.eigh(require_hermitian(a))
 
 
-def clamp_psd_spectrum(values: np.ndarray, tol: float = PSD_CLAMP_TOL) -> np.ndarray:
+def clamp_psd_spectrum(values: np.ndarray, tol: float = ROUND_OFF_TOL) -> np.ndarray:
     """Zero out round-off negatives in [-tol, 0); anything below -tol is a real error."""
     values = np.asarray(values, dtype=float)
     if np.min(values) < -tol:
@@ -58,12 +55,8 @@ def clamp_psd_spectrum(values: np.ndarray, tol: float = PSD_CLAMP_TOL) -> np.nda
 
 
 def trace_norm(a: np.ndarray) -> float:
-    """Trace norm ||A||_1 (sum of singular values; sum |eig| for Hermitian A)."""
-    a = require_square(a)
-    if frobenius(a - a.conj().T) <= HERMITICITY_TOL:
-        return float(np.sum(np.abs(hermitian_eig(a)[0])))
-    gram = hermitian_eig(a.conj().T @ a)[0]
-    return float(np.sum(np.sqrt(clamp_psd_spectrum(gram, tol=1e-8))))
+    """Trace norm ||A||_1, the sum of singular values (NumPy's nuclear norm)."""
+    return float(np.linalg.norm(require_square(a), "nuc"))
 
 
 def partial_transpose_a(rho: np.ndarray) -> np.ndarray:

@@ -13,7 +13,7 @@ from typing import Iterable
 
 import numpy as np
 
-from . import states, streams
+from . import matcore, states, streams
 from .errors import DomainError
 from .streams import RandomStream
 
@@ -132,7 +132,7 @@ def probabilities(rho: np.ndarray | states.CheckedState) -> np.ndarray:
     rho = states.validate_density_matrix(rho)
     probs = np.clip(np.einsum("ij,axji->ax", rho, PROJECTORS).real, 0.0, 1.0)
     totals = probs.sum(axis=1)
-    if np.any(np.abs(totals - 1.0) > 1e-10):
+    if np.any(np.abs(totals - 1.0) > matcore.ROUND_OFF_TOL):
         raise DomainError(f"setting probabilities sum to {totals!r}")
     return probs
 

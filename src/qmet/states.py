@@ -26,8 +26,6 @@ import numpy as np
 from . import matcore
 from .errors import DomainError
 
-DENSITY_TOL = 1e-10
-
 # Measure kinds used across estimation, sweeps and reports.
 NEGATIVITY = "negativity"
 LOG_NEGATIVITY = "log_negativity"
@@ -90,19 +88,20 @@ def check_state(rho) -> CheckedState:
     one eigendecomposition; a CheckedState passes through unchanged."""
     if isinstance(rho, CheckedState):
         return rho
-    rho = matcore.require_hermitian(rho, DENSITY_TOL)
+    rho = matcore.require_hermitian(rho)
     if rho.shape != (4, 4):
         raise DomainError(f"expected a 4x4 density matrix, got shape {rho.shape}")
     tr = np.trace(rho).real
-    if abs(tr - 1.0) > DENSITY_TOL:
-        raise DomainError(f"trace {tr!r} deviates from 1 beyond {DENSITY_TOL:g}")
+    if abs(tr - 1.0) > matcore.ROUND_OFF_TOL:
+        raise DomainError(f"trace {tr!r} deviates from 1 beyond {matcore.ROUND_OFF_TOL:g}")
     values, vectors = np.linalg.eigh(rho)
-    values = matcore.clamp_psd_spectrum(values, tol=DENSITY_TOL)
+    values = matcore.clamp_psd_spectrum(values)
     return CheckedState(rho, vectors * np.sqrt(values))
 
 
 def validate_density_matrix(rho: np.ndarray) -> np.ndarray:
-    """Hermitian, unit trace and spectrum >= 0, each within DENSITY_TOL."""
+    """Hermitian, unit trace and spectrum >= 0, each within
+    matcore.ROUND_OFF_TOL (1e-10), the allowance for an exactly built matrix."""
     return check_state(rho).rho
 
 
@@ -136,7 +135,7 @@ def _sqrt_spectrum(values: np.ndarray) -> np.ndarray:
     Eigenvalues below 1e-13 of the largest are numerical zeros; taking sqrt
     of such dust would amplify ~1e-17 noise to ~1e-9 absolute error.
     """
-    vals = matcore.clamp_psd_spectrum(values, tol=1e-8)
+    vals = matcore.clamp_psd_spectrum(values, tol=matcore.SPECTRUM_TOL)
     top = float(np.max(vals, initial=0.0))
     vals = np.where(vals < 1e-13 * top, 0.0, vals)
     return np.sqrt(vals)

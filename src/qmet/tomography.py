@@ -125,7 +125,7 @@ def project_physical(rho: np.ndarray) -> np.ndarray:
 def _projection(rho: np.ndarray) -> states.CheckedState:
     """The project_physical state of a Hermitian estimate with factor
     V sqrt(lambda), from one eigensolve."""
-    values, vectors = np.linalg.eigh(matcore.require_hermitian(rho, tol=1e-8))
+    values, vectors = np.linalg.eigh(matcore.require_hermitian(rho, tol=matcore.SPECTRUM_TOL))
     values = np.clip(values, 0.0, None)
     total = values.sum()
     if total <= 0.0:

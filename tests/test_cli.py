@@ -251,6 +251,14 @@ class TestSweep:
         assert {(row[0], row[6]) for row in rows} == {("0", "0")}
         assert "-0," not in (tmp_path / "sweep.csv").read_text()
 
+    def test_config_file_with_byte_order_mark(self, capsys, tmp_path):
+        cfg_file = tmp_path / "bom.cfg"
+        cfg_file.write_bytes(b"\xef\xbb\xbfq = 0.3\n")
+        code, out = run_main(capsys, ["sweep", "--config", str(cfg_file),
+                                      "--print-config"])
+        assert code == 0
+        assert "q = 0.3\n" in out
+
     def test_missing_config_file(self, capsys):
         assert cli.main(["sweep", "--config", "/nonexistent.cfg"]) == 2
 

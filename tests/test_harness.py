@@ -50,7 +50,7 @@ def sweep(rows):
 
 class TestConfig:
     def test_defaults(self):
-        cfg = harness.SweepConfig().validate()
+        cfg = harness.SweepConfig()
         assert cfg.q == 0.5
         assert cfg.p_grid == tuple(round(0.1 * k, 10) for k in range(11))
         assert cfg.n_shots == 10_000
@@ -97,6 +97,7 @@ class TestConfig:
         dict(variance_reps=1_000),  # removed knob: now an unknown key
         dict(mixing_mode="Bogus"),
         dict(master_seed=2 ** 64),  # keyed mod 2**64, it would alias seed 0
+        dict(repetitions=2 ** 60),  # run indices would reach the tomography streams
     ])
     def test_validate_rejects(self, kw):
         with pytest.raises(ConfigError):
@@ -221,6 +222,37 @@ DEFAULT_SWEEP_DIGESTS = {
     harness.POST_PROCESS_MIX:
         "854686a5eed52b4ec052cdba119a3f67a52270bd155c8cba2c42e98e62bb8813",
 }
+# SHA-256 of the default sweep's six SVGs, which do not read p_fitted
+DEFAULT_SVG_DIGESTS = {
+    harness.DIRECT_STATE: {
+        ("negativity", "nonoptimal"):
+            "e813f9ccbcaa47dc5504bd1e0774de4889624222e0c2ec5f3bc7cba0adabfeed",
+        ("negativity", "optimal"):
+            "5401778d4fa25679fa0cf80bfd9e23096f8e26b2bc5392f6f6c48567c61e1285",
+        ("log_negativity", "nonoptimal"):
+            "8a1bbdaf9cbf0e3b880fb0f38d17e57deaeab97660ca0e82b906f20630113d55",
+        ("log_negativity", "optimal"):
+            "6c0a8634e1b21c80b3c25234e36d641dbfa9dd878b90d630a92ad75951592ca0",
+        ("qgd", "nonoptimal"):
+            "f64948cdf8874cc0fd55cd35ea89932c1416d2064ecfb0abd9c00e11b5a7e938",
+        ("qgd", "optimal"):
+            "b8ee909e9d3901488734903b9444f5ba983f5a162699673cbd0edbeecd220377",
+    },
+    harness.POST_PROCESS_MIX: {
+        ("negativity", "nonoptimal"):
+            "e4cd356b5da7da768b89582b317c3164a240bcb4c42b643415e37f6e06940577",
+        ("negativity", "optimal"):
+            "2921f9b2d3be478984280fffa031afcd6e83432f1dec0a006e4f158dc6b01509",
+        ("log_negativity", "nonoptimal"):
+            "16edae8a188395949ad0302881f2f8bc3adae1f0d475f1cb20d810fe6f8afe30",
+        ("log_negativity", "optimal"):
+            "794ee7af8d7263487917e7c1660396b7a62659cb395dbee711621ca3f49f45e9",
+        ("qgd", "nonoptimal"):
+            "7e42e7004fdd726d9738f3898c08b51f00fbd7b1af2c122c8548f9a2baaae529",
+        ("qgd", "optimal"):
+            "6168f26689e601f9552cebfc8f6777ff91c18de787851f66375e3c9f72b836f5",
+    },
+}
 DEFAULT_P_FITTED = [
     0.001368130490017272, 0.09197461423409325, 0.19469262459275832,
     0.3004093060301538, 0.39274649370335846, 0.4883218139200293,
@@ -240,6 +272,11 @@ def test_default_sweep_is_frozen(mode):
     assert hashlib.sha256(text.encode()).hexdigest() == DEFAULT_SWEEP_DIGESTS[mode]
     np.testing.assert_allclose([row.p_fitted for row in rows], DEFAULT_P_FITTED,
                                rtol=0.0, atol=1e-7)
+    svg_digests = {
+        (kind, variant): hashlib.sha256(
+            harness.svg_text(rows, cfg, kind, variant).encode("ascii")).hexdigest()
+        for kind in harness.SWEEP_KINDS for variant in estimation.VARIANTS}
+    assert svg_digests == DEFAULT_SVG_DIGESTS[mode]
 
 
 class TestEmission:

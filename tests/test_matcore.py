@@ -44,10 +44,10 @@ def test_hermitian_eig_reconstructs_input(trial):
     a = random_hermitian()
     values, vectors = matcore.hermitian_eig(a)
     recon = (vectors * values) @ vectors.conj().T
-    assert matcore.frobenius(recon - a) <= 1e-10
+    assert np.linalg.norm(recon - a) <= 1e-10
     # orthonormal eigenvector columns
     gram = vectors.conj().T @ vectors
-    assert matcore.frobenius(gram - np.eye(4)) <= 1e-12
+    assert np.linalg.norm(gram - np.eye(4)) <= 1e-12
 
 
 def test_hermitian_eig_ascending_and_2x2():
@@ -134,7 +134,7 @@ def test_partial_transpose_involution_and_trace():
     pt = matcore.partial_transpose_a(rho)
     assert np.allclose(matcore.partial_transpose_a(pt), rho)
     assert abs(np.trace(pt) - 1.0) <= 1e-12
-    assert matcore.frobenius(pt - pt.conj().T) <= 1e-12
+    assert np.linalg.norm(pt - pt.conj().T) <= 1e-12
 
 
 def test_partial_transpose_singlet_frozen():
@@ -159,20 +159,20 @@ def test_partial_transpose_rejects_wrong_shape():
 def test_psd_sqrt_squares_back(trial):
     rho = random_density()
     s = matcore.psd_sqrt(rho)
-    assert matcore.frobenius(s @ s - rho) <= 1e-9
-    assert matcore.frobenius(s - s.conj().T) <= 1e-12
+    assert np.linalg.norm(s @ s - rho) <= 1e-9
+    assert np.linalg.norm(s - s.conj().T) <= 1e-12
     assert np.min(matcore.hermitian_eig(s)[0]) >= -1e-12
 
 
 def test_psd_sqrt_rank_deficient():
     s = matcore.psd_sqrt(singlet())
-    assert matcore.frobenius(s - singlet()) <= 1e-10  # sqrt of rank-1 projector
+    assert np.linalg.norm(s - singlet()) <= 1e-10  # sqrt of rank-1 projector
 
 
 def test_psd_sqrt_clamps_tiny_negative():
     rho = random_density()
     s = matcore.psd_sqrt(rho - 5e-11 * np.eye(4))
-    assert matcore.frobenius(s @ s - rho) <= 1e-8
+    assert np.linalg.norm(s @ s - rho) <= 1e-8
 
 
 def test_psd_sqrt_rejects_indefinite():

@@ -506,7 +506,8 @@ class TestEigensolveBudget:
 def reprojected_state(rho: np.ndarray) -> states.CheckedState:
     """Reference: the estimate projected again and checked, with the factor
     V sqrt(lambda) of its clipped, renormalised spectrum."""
-    values, vectors = np.linalg.eigh(matcore.require_hermitian(rho, tol=1e-8))
+    values, vectors = np.linalg.eigh(
+        matcore.require_hermitian(rho, tol=matcore.SPECTRUM_TOL))
     values = np.clip(values, 0.0, None)
     values /= values.sum()
     proj = (vectors * values) @ vectors.conj().T
