@@ -291,9 +291,19 @@ _KIND_TITLES = {
 }
 
 
-def _polyline(xs, ys, sx, sy, style: str) -> str:
-    # sx and sy map whole arrays with the same per-element arithmetic
-    pts = " ".join(map("%.2f,%.2f".__mod__, zip(sx(xs).tolist(), sy(ys).tolist())))
+def _svg_x(x):
+    """Panel x coordinate of a mixing parameter p, or of an array of them."""
+    return _ML + (x - 0.0) / 1.0 * (_SVG_W - _ML - _MR)
+
+
+# every panel draws its theory curves over the same p points
+_CURVE_P = np.linspace(0.0, 1.0, _CURVE_POINTS)
+_CURVE_X_TEXT = ["%.2f" % x for x in _svg_x(_CURVE_P).tolist()]
+
+
+def _curve(ys, sy, style: str) -> str:
+    """A theory curve over _CURVE_P; sy maps the whole array at once."""
+    pts = " ".join(map("%s,%.2f".__mod__, zip(_CURVE_X_TEXT, sy(ys).tolist())))
     return f'<polyline fill="none" {style} points="{pts}"/>'
 
 
@@ -312,8 +322,7 @@ def svg_text(rows: list[SweepRow], cfg: SweepConfig, kind: str,
     means = np.array([st.mean for _, st in picked])
     errs = np.array([st.stddev for _, st in picked])
 
-    dense = np.linspace(0.0, 1.0, _CURVE_POINTS)
-    value = states.MEASURES[kind].from_n(states.negativity_closed(dense, cfg.q))
+    value = states.MEASURES[kind].from_n(states.negativity_closed(_CURVE_P, cfg.q))
     half_n = estimation.nonopt_unc_curves(kind, value)
     half_q = estimation.qcrb_unc(kind, value, cfg.q)
     root_n = np.sqrt(cfg.n_shots)
@@ -325,9 +334,6 @@ def svg_text(rows: list[SweepRow], cfg: SweepConfig, kind: str,
     y_min, y_max = float(y_all.min()), float(y_all.max())
     pad = 0.06 * (y_max - y_min or 1.0)
     y_min, y_max = y_min - pad, y_max + pad
-
-    def sx(x: float) -> float:
-        return _ML + (x - 0.0) / 1.0 * (_SVG_W - _ML - _MR)
 
     def sy(y: float) -> float:
         return _SVG_H - _MB - (y - y_min) / (y_max - y_min) * (_SVG_H - _MT - _MB)
@@ -351,7 +357,7 @@ def svg_text(rows: list[SweepRow], cfg: SweepConfig, kind: str,
     parts.append(f'<line x1="{x0}" y1="{y0}" x2="{x0}" y2="{_MT}" '
                  f'stroke="#333" stroke-width="1"/>')
     for tick in np.linspace(0.0, 1.0, 6):
-        tx = sx(tick)
+        tx = _svg_x(tick)
         parts.append(f'<line x1="{tx:.2f}" y1="{y0}" x2="{tx:.2f}" y2="{y0 + 5}" '
                      f'stroke="#333" stroke-width="1"/>')
         parts.append(f'<text x="{tx:.2f}" y="{y0 + 20}" text-anchor="middle" '
@@ -370,14 +376,14 @@ def svg_text(rows: list[SweepRow], cfg: SweepConfig, kind: str,
                  f'transform="rotate(-90 20 {(_MT + _SVG_H - _MB) / 2:.0f})">'
                  f'{_KIND_TITLES[kind]}</text>')
     # theory curves: dashed value, dotted non-optimal envelope, solid qcrb envelope
-    parts.append(_polyline(dense, value, sx, sy, dashed))
-    parts.append(_polyline(dense, env_n_lo, sx, sy, dotted))
-    parts.append(_polyline(dense, env_n_hi, sx, sy, dotted))
-    parts.append(_polyline(dense, env_q_lo, sx, sy, solid))
-    parts.append(_polyline(dense, env_q_hi, sx, sy, solid))
+    parts.append(_curve(value, sy, dashed))
+    parts.append(_curve(env_n_lo, sy, dotted))
+    parts.append(_curve(env_n_hi, sy, dotted))
+    parts.append(_curve(env_q_lo, sy, solid))
+    parts.append(_curve(env_q_hi, sy, solid))
     # data: error bars are the single-estimate standard deviation
     for x, m, e in zip(xs, means, errs):
-        cx, top, bot = sx(x), sy(m + e), sy(m - e)
+        cx, top, bot = _svg_x(x), sy(m + e), sy(m - e)
         parts.append(f'<line x1="{cx:.2f}" y1="{top:.2f}" x2="{cx:.2f}" '
                      f'y2="{bot:.2f}" stroke="#111" stroke-width="1.2"/>')
         for ty in (top, bot):

@@ -20,3 +20,18 @@ def eigensolves(monkeypatch):
 
         monkeypatch.setattr(np.linalg, name, counted)
     return calls
+
+
+@pytest.fixture
+def philox_builds(monkeypatch):
+    """A list that gains one entry per np.random.Philox construction."""
+    builds = []
+
+    # the state setter checks the class name, so the subclass keeps it
+    class Philox(np.random.Philox):
+        def __init__(self, *args, **kwargs):
+            builds.append(kwargs.get("key"))
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "Philox", Philox)
+    return builds

@@ -384,6 +384,16 @@ def test_default_sweep_eigensolve_budget(eigensolves, mode, budget):
     assert 0 < len(eigensolves) <= budget
 
 
+@pytest.mark.parametrize("mode, builds", [
+    # per point: one keyed batch per draw slot and one tomography stream
+    (harness.DIRECT_STATE, (1 + 1) * 11),
+    (harness.POST_PROCESS_MIX, (3 + 1) * 11),
+])
+def test_default_sweep_philox_budget(philox_builds, mode, builds):
+    harness.run_sweep(harness.build_config(mixing_mode=mode))
+    assert len(philox_builds) == builds
+
+
 @pytest.mark.parametrize("q", [0.1, 0.2, 0.3, 0.35, 0.7])
 def test_quantum_bound_is_exactly_zero_at_the_pure_endpoint(q):
     # 4q(1-q) - N^2 as a difference of rounded squares wrote 1.12e-08 for

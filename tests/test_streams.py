@@ -55,3 +55,34 @@ def test_stream_key_is_the_shared_keying_rule():
     a = RandomStream(-3, 1 << 63).random(4)
     b = np.random.Generator(np.random.Philox(key=keys[1])).random(4)
     np.testing.assert_array_equal(a, b)
+
+
+def test_keyed_multinomials_law_rows_must_match_the_run_indices():
+    # zipping indices with law rows would truncate the batch instead
+    for k in (5, 1):
+        with pytest.raises(ValueError):
+            streams.keyed_multinomials(1, range(k), 10, np.full((3, 4), 0.25))
+    rows = streams.keyed_multinomials(1, [], 10, np.full((0, 4), 0.25))
+    assert rows.shape == (0, 4)
+
+
+@pytest.mark.parametrize("indices", [
+    np.array(RUN_INDICES, dtype=np.uint64),
+    np.arange(0, 80, 8, dtype=np.int64),
+])
+@pytest.mark.parametrize("seed", [np.int64(-3), -3])
+def test_keyed_multinomials_numpy_integer_inputs(seed, indices):
+    pvals = np.array([0.1, 0.2, 0.3, 0.4])
+    rows = streams.keyed_multinomials(seed, indices, 1000, pvals)
+    as_ints = [int(index) for index in indices]
+    np.testing.assert_array_equal(
+        rows, streams.keyed_multinomials(-3, as_ints, 1000, pvals))
+    for row, index in zip(rows, as_ints):
+        np.testing.assert_array_equal(
+            row, RandomStream(-3, index).multinomial(1000, pvals))
+
+
+@pytest.mark.parametrize("k", [0, 1, 500])
+def test_keyed_multinomials_builds_one_philox_per_batch(philox_builds, k):
+    streams.keyed_multinomials(4, range(k), 100, np.full(4, 0.25))
+    assert len(philox_builds) == 1
