@@ -38,7 +38,6 @@ from .measurement import (
     DA_DA,
     OUTCOME_LABELS,
     OutcomeCounts,
-    Setting,
     mix_counts,
     outcome_probabilities,
     sample_counts,
@@ -84,8 +83,7 @@ __all__ = [
     "DIRECT_STATE", "MIXING_MODES", "POST_PROCESS_MIX", "SWEEP_KINDS",
     "SweepConfig", "SweepRow", "build_config",
     "emit_all", "emit_csv", "emit_svg", "run_sweep",
-    "DA_DA", "OUTCOME_LABELS",
-    "OutcomeCounts", "Setting",
+    "DA_DA", "OUTCOME_LABELS", "OutcomeCounts",
     "mix_counts", "outcome_probabilities", "sample_counts",
     "setting_projectors",
     "CONCURRENCE", "LOG_NEGATIVITY", "MEASURE_KINDS", "NEGATIVITY", "QGD",

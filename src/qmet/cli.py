@@ -9,7 +9,6 @@ also the config file's master_seed), and otherwise the default 42.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 
@@ -48,7 +47,7 @@ def cmd_state(args) -> int:
             "matrix_real": np.round(rho.real, 12).tolist(),
             "matrix_imag": np.round(rho.imag, 12).tolist(),
             "measures": values,
-            "fit": dataclasses.asdict(fit),
+            "fit": fit._asdict(),
         })
         return 0
     lines = [f"family state at p={args.p:g}, q={args.q:g}"]
@@ -90,7 +89,7 @@ def cmd_estimate(args) -> int:
             raise ConfigError(f"{args.counts} is not a JSON counts record: {exc}") from exc
         counts, setting = measurement.counts_from_record(record)
         if setting != measurement.DA_DA:
-            raise DomainError(f"estimate needs DA,DA counts, got {setting.label()}")
+            raise DomainError(f"estimate needs DA,DA counts, got {setting}")
     else:
         missing = [name for name, value in
                    (("--p", args.p), ("--n", args.n)) if value is None]
@@ -144,7 +143,7 @@ def cmd_tomo(args) -> int:
         "p": args.p, "q": args.q, "n_per_setting": args.n_per_setting,
         "seed": seed,
         "fidelity": report.fidelity,
-        "fit": dataclasses.asdict(report.fit),
+        "fit": report.fit._asdict(),
         "measures": report.measures,
         "converged": recon.converged,
         "iterations": recon.iterations,

@@ -19,7 +19,8 @@ expression.
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -49,9 +50,9 @@ _DEFAULT_GRID = tuple(round(0.1 * k, 10) for k in range(11))
 
 
 def check_seed(seed: int) -> int:
-    """seed, if it is an integer in [-2**63, 2**63); streams key a seed mod
-    2**64, so a wider range would alias seeds silently."""
-    if not isinstance(seed, int) or not -2 ** 63 <= seed < 2 ** 63:
+    """seed, if it is an integer in [-2**63, 2**63), not a bool; streams key a
+    seed mod 2**64, so a wider range would alias seeds silently."""
+    if isinstance(seed, bool) or not isinstance(seed, int) or not -2 ** 63 <= seed < 2 ** 63:
         raise ConfigError(f"seed must be an integer in [-2**63, 2**63), got {seed!r}")
     return seed
 
@@ -75,11 +76,16 @@ class SweepConfig:
         for p in self.p_grid:
             if not 0.0 <= p <= 1.0:
                 raise ConfigError(f"grid value {p} outside [0, 1]")
+        for name in ("n_shots", "repetitions"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
         if not 1 <= self.n_shots <= measurement.MAX_SHOTS:
             raise ConfigError(f"n_shots must lie in [1, 2**63 - 1], got {self.n_shots}")
         if self.repetitions < 2:
             raise ConfigError("repetitions must be >= 2 for a standard deviation")
-        if len(self.p_grid) * self.repetitions * 8 > TOMO_FLAG:
+        # int(): a NumPy integer product would wrap past 2**63
+        if len(self.p_grid) * int(self.repetitions) * 8 > TOMO_FLAG:
             raise ConfigError(f"{len(self.p_grid)} grid points x {self.repetitions} repetitions"
                               " x 8 run indices exceed 2**62, the first tomography stream")
         check_seed(self.master_seed)
@@ -166,8 +172,7 @@ def build_config(file_text: str | None = None, **overrides) -> SweepConfig:
     return dataclasses.replace(SweepConfig(), **merged)
 
 
-@dataclass
-class EstimatorStats:
+class EstimatorStats(NamedTuple):
     """Aggregates for one estimator at one grid point."""
 
     kind: str
@@ -179,11 +184,10 @@ class EstimatorStats:
     unc_qcrb: float
 
 
-@dataclass
-class SweepRow:
+class SweepRow(NamedTuple):
     p_true: float
     p_fitted: float
-    stats: list[EstimatorStats] = field(default_factory=list)
+    stats: list[EstimatorStats]
 
 
 def _run_indices(cfg: SweepConfig, point: int, slot: int) -> range:

@@ -1,7 +1,8 @@
 """Local polarization measurements and count-record simulation.
 
-Settings are pairs of single-qubit bases from {HV, DA, RL}; each setting has
-four joint projective outcomes ordered (++, +-, -+, --) where "+" is the
+A setting is a pair of single-qubit bases from {HV, DA, RL}, named by its
+"A,B" label (SETTINGS holds the nine, DA_DA the estimators' one); each setting
+has four joint projective outcomes ordered (++, +-, -+, --) where "+" is the
 first basis vector (H, D or R). A count record is one exact multinomial draw
 from a counter-based stream, so its cost does not depend on the shot count and
 a (master_seed, run_index) pair pins every record exactly.
@@ -42,32 +43,16 @@ def basis_kets(basis: str) -> tuple[np.ndarray, np.ndarray]:
     return _KETS[basis]
 
 
-@dataclass(frozen=True)
-class Setting:
-    """A joint measurement setting: one local basis per qubit."""
-
-    basis_a: str
-    basis_b: str
-
-    def __post_init__(self):
-        basis_kets(self.basis_a)
-        basis_kets(self.basis_b)
-
-    def label(self) -> str:
-        return f"{self.basis_a},{self.basis_b}"
-
-    @staticmethod
-    def from_label(label: str) -> "Setting":
-        parts = label.split(",") if isinstance(label, str) else ()
-        if len(parts) != 2:
-            raise DomainError(f"bad setting label {label!r}")
-        return Setting(parts[0].strip().upper(), parts[1].strip().upper())
-
-
-DA_DA = Setting(DA, DA)
-
 # the nine settings of the tomography design, in (HV, DA, RL) x (HV, DA, RL) order
-SETTINGS = tuple(Setting(a, b) for a in BASES for b in BASES)
+SETTINGS = tuple(f"{a},{b}" for a in BASES for b in BASES)
+DA_DA = "DA,DA"
+
+
+def _setting_row(setting: str) -> int:
+    """Row of a setting label in SETTINGS and PROJECTORS."""
+    if setting not in SETTINGS:
+        raise DomainError(f"unknown setting {setting!r}, expected one of {SETTINGS}")
+    return SETTINGS.index(setting)
 
 
 def _outer(kets: np.ndarray) -> np.ndarray:
@@ -87,15 +72,15 @@ QUBIT_PROJECTORS = _outer(_BASIS_KETS)
 PROJECTORS = _outer(np.einsum("asi,btj->abstij", _BASIS_KETS, _BASIS_KETS)
                     .reshape(9, 4, 4))
 
-_SETTING_PROJECTORS = dict(zip(SETTINGS, PROJECTORS))
+_SETTING_PROJECTORS = tuple(PROJECTORS)
 
 
-def setting_projectors(setting: Setting) -> np.ndarray:
+def setting_projectors(setting: str) -> np.ndarray:
     """Four rank-1 joint projectors of a setting, ordered (++, +-, -+, --).
 
     Returned as a read-only (4, 4, 4) view of PROJECTORS shared by all callers.
     """
-    return _SETTING_PROJECTORS[setting]
+    return _SETTING_PROJECTORS[_setting_row(setting)]
 
 
 @dataclass
@@ -111,6 +96,8 @@ class OutcomeCounts:
         for label, v in zip(OUTCOME_LABELS, self.as_tuple()):
             if v < 0 or int(v) != v:
                 raise DomainError(f"count n_{label}={v!r} is not a non-negative integer")
+        if self.n > MAX_SHOTS:
+            raise DomainError(f"count total {self.n} exceeds 2**63 - 1 shots")
 
     def as_tuple(self) -> tuple[int, int, int, int]:
         return (self.n_pp, self.n_pm, self.n_mp, self.n_mm)
@@ -120,7 +107,8 @@ class OutcomeCounts:
 
     @property
     def n(self) -> int:
-        return int(self.n_pp + self.n_pm + self.n_mp + self.n_mm)
+        # Python ints: a sum of NumPy int64 counts would wrap past 2**63
+        return sum(map(int, self.as_tuple()))
 
 
 def probabilities(rho: np.ndarray | states.CheckedState) -> np.ndarray:
@@ -137,9 +125,9 @@ def probabilities(rho: np.ndarray | states.CheckedState) -> np.ndarray:
     return probs
 
 
-def outcome_probabilities(rho: np.ndarray, setting: Setting) -> np.ndarray:
+def outcome_probabilities(rho: np.ndarray, setting: str) -> np.ndarray:
     """The four outcome probabilities of one setting, its row of probabilities."""
-    return probabilities(rho)[SETTINGS.index(setting)]
+    return probabilities(rho)[_setting_row(setting)]
 
 
 def _normalised(probs: np.ndarray) -> np.ndarray:
@@ -149,8 +137,8 @@ def _normalised(probs: np.ndarray) -> np.ndarray:
 
 
 def _require_shots(n: int) -> None:
-    if not 1 <= n <= MAX_SHOTS:
-        raise DomainError(f"shot count must lie in [1, 2**63 - 1], got {n}")
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or not 1 <= n <= MAX_SHOTS:
+        raise DomainError(f"shot count must be an integer in [1, 2**63 - 1], got {n!r}")
 
 
 def draw_counts(probs: np.ndarray, n: int, stream: RandomStream) -> OutcomeCounts:
@@ -182,7 +170,7 @@ def draw_counts_keyed(probs: np.ndarray, n: int, master_seed: int,
                                       _normalised(probs))
 
 
-def sample_counts(rho: np.ndarray, setting: Setting, n: int,
+def sample_counts(rho: np.ndarray, setting: str, n: int,
                   stream: RandomStream) -> OutcomeCounts:
     """n multinomial shots of a setting on a state."""
     return draw_counts(outcome_probabilities(rho, setting), n, stream)
@@ -215,10 +203,11 @@ def mix_counts(counts_pure: OutcomeCounts, counts_mix: OutcomeCounts, p: float,
     return draw_counts(law, counts_pure.n, stream)
 
 
-def counts_record(counts: OutcomeCounts, setting: Setting, seed: int) -> dict:
+def counts_record(counts: OutcomeCounts, setting: str, seed: int) -> dict:
     """JSON-friendly record of one count dataset."""
+    _setting_row(setting)
     return {
-        "setting": setting.label(),
+        "setting": setting,
         "n_pp": counts.n_pp,
         "n_pm": counts.n_pm,
         "n_mp": counts.n_mp,
@@ -236,14 +225,20 @@ def _record_count(record: dict, label: str) -> int:
     return int(value)
 
 
-def counts_from_record(record: dict) -> tuple[OutcomeCounts, Setting]:
-    """Counts and setting of a record; fractional or non-numeric counts are rejected."""
+def counts_from_record(record: dict) -> tuple[OutcomeCounts, str]:
+    """Counts and setting label of a record; fractional or non-numeric counts
+    are rejected. The label is normalised, each basis stripped and
+    upper-cased, and must then be one of SETTINGS."""
     if not isinstance(record, dict):
         raise DomainError(f"counts record must be a JSON object, got {type(record).__name__}")
     try:
         counts = OutcomeCounts(*(_record_count(record, label)
                                  for label in OUTCOME_LABELS))
-        setting = Setting.from_label(record.get("setting", "DA,DA"))
     except KeyError as exc:
         raise DomainError(f"counts record missing key {exc}") from exc
+    label = record.get("setting", DA_DA)
+    if not isinstance(label, str):
+        raise DomainError(f"bad setting label {label!r}")
+    setting = ",".join(part.strip().upper() for part in label.split(","))
+    _setting_row(setting)
     return counts, setting

@@ -18,7 +18,6 @@ MEASURES table holds each as a function of N.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -239,8 +238,7 @@ def fidelity(rho_a: np.ndarray | CheckedState, rho_b: np.ndarray | CheckedState)
 
 # --- family fitting -----------------------------------------------------------
 
-@dataclass
-class FamilyFit:
+class FamilyFit(NamedTuple):
     """Least-squares projection of a state onto the family.
 
     residual is the Frobenius distance at the optimum. degenerate means p ~ 0

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -86,8 +87,7 @@ def simulate_tomography(rho: np.ndarray | states.CheckedState, n_per_setting: in
     return TomoDataset(measurement.draw_count_rows(probs, n_per_setting, stream))
 
 
-@dataclass
-class Reconstruction:
+class Reconstruction(NamedTuple):
     """The physical state of one reconstruction, which reports read, its
     log-likelihood and the run's iteration count and convergence flag."""
 
@@ -288,8 +288,7 @@ def reconstruct_mle(dataset: TomoDataset) -> Reconstruction:
     )
 
 
-@dataclass
-class TomoReport:
+class TomoReport(NamedTuple):
     """Fidelity to a reference state, family fit and measures of a reconstruction."""
 
     fidelity: float

@@ -186,6 +186,8 @@ class TestEstimate:
         # the DA,DA estimators cannot read another setting's counts
         {"setting": "HV,HV", "n_pp": 0, "n_pm": 500, "n_mp": 500, "n_mm": 0},
         {"setting": 5, "n_pp": 1, "n_pm": 2, "n_mp": 3, "n_mm": 4},
+        # a total beyond the 2**63 - 1 shots any draw can hold
+        {"n_pp": 1e300, "n_pm": 5, "n_mp": 0, "n_mm": 0},
     ])
     def test_non_integer_counts_are_domain_error(self, capsys, tmp_path, record):
         path = tmp_path / "counts.json"

@@ -404,7 +404,7 @@ def test_cfi_of_the_tomography_design_is_two_ninths_of_qfi():
 
 def test_cfi_hv_setting_is_blind():
     path = est.measure_path(states.NEGATIVITY)
-    povm = ms.setting_projectors(ms.Setting("HV", "HV"))
+    povm = ms.setting_projectors("HV,HV")
     assert est.cfi_numeric(path, 0.5, povm) <= 1e-12
 
 

@@ -98,6 +98,10 @@ class TestConfig:
         dict(mixing_mode="Bogus"),
         dict(master_seed=2 ** 64),  # keyed mod 2**64, it would alias seed 0
         dict(repetitions=2 ** 60),  # run indices would reach the tomography streams
+        dict(n_shots=100.7),  # would draw 100 shots and write 100.7
+        dict(n_shots=True),  # bools would print as True in the CSV
+        dict(master_seed=True),
+        dict(repetitions=2.5),
     ])
     def test_validate_rejects(self, kw):
         with pytest.raises(ConfigError):

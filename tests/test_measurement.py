@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qmet import measurement as ms
-from qmet import states
+from qmet import states, tomography
 from qmet.errors import DomainError
 from qmet.streams import RandomStream
 
@@ -25,13 +25,15 @@ def test_unknown_basis_rejected():
     with pytest.raises(DomainError):
         ms.basis_kets("XY")
     with pytest.raises(DomainError):
-        ms.Setting("DA", "XY")
+        ms.setting_projectors("DA,XY")
+    with pytest.raises(DomainError):
+        ms.outcome_probabilities(states.singlet(), "DA,XY")
 
 
 @pytest.mark.parametrize("ba", ms.BASES)
 @pytest.mark.parametrize("bb", ms.BASES)
 def test_setting_projectors_complete(ba, bb):
-    projs = ms.setting_projectors(ms.Setting(ba, bb))
+    projs = ms.setting_projectors(f"{ba},{bb}")
     assert len(projs) == 4
     total = sum(projs)
     assert np.allclose(total, np.eye(4), atol=1e-14)
@@ -47,7 +49,7 @@ def test_setting_projectors_read_only_and_shared():
         projs[0, 0, 0] = 5.0
     with pytest.raises(ValueError):
         projs[1] *= 2.0
-    again = ms.setting_projectors(ms.Setting("DA", "DA"))
+    again = ms.setting_projectors("DA,DA")
     assert again is projs
     plus, minus = ms.basis_kets(ms.DA)
     for proj, (a, b) in zip(again, ((plus, plus), (plus, minus),
@@ -75,7 +77,7 @@ def test_probabilities_family_da_symbolic():
 
 def test_probabilities_family_hv_is_flat_in_p():
     for p in (0.0, 0.3, 0.9):
-        probs = ms.outcome_probabilities(states.family_state(p, 0.5), ms.Setting("HV", "HV"))
+        probs = ms.outcome_probabilities(states.family_state(p, 0.5), "HV,HV")
         assert np.allclose(probs, [0.0, 0.5, 0.5, 0.0], atol=1e-12)
 
 
@@ -103,7 +105,7 @@ def test_projector_table_is_read_only_and_holds_the_setting_projectors():
     # the joint projectors are products of the single-qubit ones
     for a, ba in enumerate(ms.BASES):
         for b, bb in enumerate(ms.BASES):
-            projs = ms.setting_projectors(ms.Setting(ba, bb))
+            projs = ms.setting_projectors(f"{ba},{bb}")
             for x, (s, t) in enumerate(((0, 0), (0, 1), (1, 0), (1, 1))):
                 np.testing.assert_allclose(
                     projs[x], np.kron(ms.QUBIT_PROJECTORS[a, s], ms.QUBIT_PROJECTORS[b, t]),
@@ -117,7 +119,7 @@ def test_probabilities_sum_to_one_random_states():
         rho /= np.trace(rho).real
         for ba in ms.BASES:
             for bb in ms.BASES:
-                probs = ms.outcome_probabilities(rho, ms.Setting(ba, bb))
+                probs = ms.outcome_probabilities(rho, f"{ba},{bb}")
                 assert abs(probs.sum() - 1.0) <= 1e-10
                 assert np.all(probs >= 0.0)
 
@@ -159,7 +161,7 @@ def test_sample_counts_cost_does_not_grow_with_shots():
 
 
 def test_sample_counts_degenerate_distribution():
-    counts = ms.sample_counts(states.singlet(), ms.Setting("HV", "HV"), 1000,
+    counts = ms.sample_counts(states.singlet(), "HV,HV", 1000,
                               RandomStream(5, 0))
     assert counts.n_pp == 0 and counts.n_mm == 0
     assert counts.n_pm + counts.n_mp == 1000
@@ -170,9 +172,22 @@ def test_sample_counts_rejects_zero_shots():
         ms.sample_counts(states.singlet(), ms.DA_DA, 0, RandomStream(1, 0))
 
 
+@pytest.mark.parametrize("n", [10.5, np.float64(10.0), True, "10"])
+def test_shot_counts_must_be_integers(n):
+    # a fractional count once drew its floor, a bool one shot
+    with pytest.raises(DomainError):
+        ms.sample_counts(states.singlet(), ms.DA_DA, n, RandomStream(1, 0))
+    with pytest.raises(DomainError):
+        tomography.simulate_tomography(states.singlet(), n, RandomStream(1, 0))
+
+
 def test_outcome_counts_validation():
     with pytest.raises(DomainError):
         ms.OutcomeCounts(-1, 2, 3, 4)
+    # one shot beyond the int64 limit of every drawn shot count
+    for total in ((2 ** 62, 2 ** 62, 0, 0), np.array([2 ** 62, 2 ** 62, 0, 0])):
+        with pytest.raises(DomainError):
+            ms.OutcomeCounts(*total)
 
 
 # --- mixing -------------------------------------------------------------------------
@@ -302,3 +317,18 @@ def test_counts_record_round_trip():
     back, setting = ms.counts_from_record(rec)
     assert back.as_tuple() == counts.as_tuple()
     assert setting == ms.DA_DA
+
+
+@pytest.mark.parametrize("label, setting", [(" da , Da", "DA,DA"), ("hv,RL", "HV,RL")])
+def test_counts_from_record_normalises_the_setting_label(label, setting):
+    record = {"setting": label, "n_pp": 1, "n_pm": 2, "n_mp": 3, "n_mm": 4}
+    assert ms.counts_from_record(record)[1] == setting
+
+
+@pytest.mark.parametrize("label", ["DA,XY", "DA", "DA,DA,DA", "", 5, None])
+def test_unknown_setting_labels_are_domain_errors(label):
+    with pytest.raises(DomainError):
+        ms.counts_from_record({"setting": label, "n_pp": 1, "n_pm": 2,
+                               "n_mp": 3, "n_mm": 4})
+    with pytest.raises(DomainError):
+        ms.counts_record(ms.OutcomeCounts(1, 2, 3, 4), label, seed=7)

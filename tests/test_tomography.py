@@ -100,7 +100,7 @@ class TestSettings:
     def test_nine_settings_in_grid_order(self):
         got = measurement.SETTINGS
         assert len(got) == 9
-        labels = [s.label() for s in got]
+        labels = list(got)
         assert labels == ["HV,HV", "HV,DA", "HV,RL",
                           "DA,HV", "DA,DA", "DA,RL",
                           "RL,HV", "RL,DA", "RL,RL"]
