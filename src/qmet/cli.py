@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 import numpy as np
@@ -125,6 +126,8 @@ def cmd_sweep(args) -> int:
     if args.print_config:
         sys.stdout.write(cfg.to_text())
         return 0
+    # an unusable --out-dir fails before the sweep is computed, not after
+    os.makedirs(args.out_dir, exist_ok=True)
     rows = harness.run_sweep(cfg)
     written = harness.emit_all(rows, cfg, args.out_dir)
     _print("\n".join(written))

@@ -4,9 +4,10 @@ A sweep walks the mixing parameter p over a grid at fixed q, runs M repeated
 estimations of all six estimators (three measures, non-optimal and optimal
 variants) from fresh samples at each point, and aggregates means and
 single-estimate standard deviations together with the three theory curves.
-Each grid point also gets a tomographic reconstruction whose family fit
-supplies the p_fitted column, so plots can use either the true or the
-reconstructed mixing parameter on the x axis.
+Each grid point also gets a nine-setting tomography draw whose family MLE
+(tomography.family_mle, a closed form of the counts) supplies the p_fitted
+column, so plots can use either the true or the fitted mixing parameter on
+the x axis. A grid point makes one eigensolve, the check of its state.
 
 All randomness derives from the master seed through counter-based stream
 indices, making sweep outputs byte-identical across runs and platforms.
@@ -14,7 +15,8 @@ Repetition rep of slot s at grid point k reads stream
 (master_seed, (k*M + rep)*8 + s). Each slot's M repetitions are drawn as one
 batch of keyed draws, a (M, 4) count array whose every row is still its own
 (master_seed, run_index) stream, and each estimator acts on that array in one
-expression.
+expression; the six clipped estimate arrays form one (6, M) table, reduced by
+one mean and one standard deviation.
 """
 from __future__ import annotations
 
@@ -35,6 +37,10 @@ MIXING_MODES = (DIRECT_STATE, POST_PROCESS_MIX)
 # sweep kinds: concurrence coincides with negativity on the family and is
 # deliberately not duplicated as a fourth block of rows
 SWEEP_KINDS = (states.NEGATIVITY, states.LOG_NEGATIVITY, states.QGD)
+
+# the six estimators of a grid point, in CSV row order
+_ESTIMATORS = tuple((kind, variant) for kind in SWEEP_KINDS
+                    for variant in estimation.VARIANTS)
 
 CSV_HEADER = ("p_true,p_fitted,kind,variant,mean,stddev,"
               "theory_value,unc_nonopt,unc_qcrb,n_shots,reps,seed")
@@ -207,10 +213,10 @@ def _draw(cfg: SweepConfig, point: int, slot: int, probs: np.ndarray) -> np.ndar
 
 
 def _fit_p(cfg: SweepConfig, state: states.CheckedState, point: int) -> float:
+    """p of the family MLE of one nine-setting draw of the checked state."""
     stream = RandomStream(cfg.master_seed, TOMO_FLAG | point)
-    dataset = tomography.simulate_tomography(state, cfg.n_shots, stream)
-    recon = tomography.reconstruct_mle(dataset)
-    return states.fit_family_params(recon.state).p
+    return tomography.family_mle(
+        tomography.simulate_tomography(state, cfg.n_shots, stream))[0]
 
 
 def run_sweep(cfg: SweepConfig) -> list[SweepRow]:
@@ -236,20 +242,15 @@ def run_sweep(cfg: SweepConfig) -> list[SweepRow]:
             law = measurement.mixture_law(_draw(cfg, point, SLOT_PURE, pure),
                                           _draw(cfg, point, SLOT_MIX, dephased), p)
             counts = _draw(cfg, point, SLOT_SELECT, law)
-        stats = []
-        for kind in SWEEP_KINDS:
-            for variant in estimation.VARIANTS:
-                raw, _ = estimation.estimator_values(kind, variant, counts)
-                values = estimation.clip_to_range(kind, raw)
-                stats.append(EstimatorStats(
-                    kind=kind,
-                    variant=variant,
-                    mean=float(values.mean()),
-                    stddev=float(values.std(ddof=1)),
-                    theory_value=float(truth[kind][point]),
-                    unc_nonopt=float(nonopt[kind][point]),
-                    unc_qcrb=float(qcrb[kind][point]),
-                ))
+        # one (6, M) table of the clipped estimates, reduced once
+        table = np.stack([estimation.clip_to_range(
+            kind, estimation.estimator_values(kind, variant, counts)[0])
+            for kind, variant in _ESTIMATORS])
+        stats = [EstimatorStats(kind, variant, mean, stddev, float(truth[kind][point]),
+                                float(nonopt[kind][point]), float(qcrb[kind][point]))
+                 for (kind, variant), mean, stddev in zip(
+                     _ESTIMATORS, table.mean(axis=1).tolist(),
+                     table.std(axis=1, ddof=1).tolist())]
         rows.append(SweepRow(p_true=float(p), p_fitted=_fit_p(cfg, state, point),
                              stats=stats))
     return rows
@@ -421,9 +422,7 @@ def emit_all(rows: list[SweepRow], cfg: SweepConfig, out_dir) -> list[str]:
     import os
     os.makedirs(out_dir, exist_ok=True)
     written = [emit_csv(rows, cfg, os.path.join(out_dir, "sweep.csv"))]
-    for kind in SWEEP_KINDS:
-        for variant in estimation.VARIANTS:
-            name = f"{kind}_{variant}.svg"
-            written.append(emit_svg(rows, cfg, kind, variant,
-                                    os.path.join(out_dir, name)))
+    for kind, variant in _ESTIMATORS:
+        written.append(emit_svg(rows, cfg, kind, variant,
+                                os.path.join(out_dir, f"{kind}_{variant}.svg")))
     return written

@@ -21,6 +21,9 @@ reconstructors are provided:
   PSD and unit trace hold at every step, and a cycle moves only uphill. One
   reported iteration is one SQUAREM cycle.
 
+family_mle fits the family's (p, q) to the counts by maximum likelihood, in
+closed form but for a 1-D root on the arc p = 1, with no eigensolve.
+
 Eigensolve budget per state (np.linalg.eigh / eigvalsh calls):
 simulate_tomography 1 (validating rho), reconstruct_mle 1 (the start) plus
 1 per rank growth, reconstruct_linear 1, tomo_report 4, so a
@@ -286,6 +289,84 @@ def reconstruct_mle(dataset: TomoDataset) -> Reconstruction:
         iterations=iterations,
         converged=converged,
     )
+
+
+# --- family MLE --------------------------------------------------------------
+
+# Flat indices 4 * setting row + outcome of the outcomes whose probability on
+# the family, with x = p (2q - 1) and y = 2 p sqrt(q (1 - q)), is c (1 + x),
+# c (1 - x) (each the partner of the one above it), c (1 + y), c (1 - y) and
+# 0 (HV,HV ++ and --); the DA,RL and RL,DA outcomes are 1/4 everywhere.
+_X_PLUS = [1, 4, 5, 8, 9, 13, 15, 25, 27]
+_X_MINUS = [2, 6, 7, 10, 11, 12, 14, 24, 26]
+_Y_PLUS = [17, 18, 33, 34]
+_Y_MINUS = [16, 19, 32, 35]
+_NEVER = [0, 3]
+
+
+def family_mle(dataset: TomoDataset) -> tuple[float, float]:
+    """Maximum-likelihood (p, q) of the family from nine-setting counts.
+
+    On the family the log-likelihood separates,
+    l = k+ log(1 + x) + k- log(1 - x) + m+ log(1 + y) + m- log(1 - y) + const,
+    with k and m the count sums of the outcome groups above, and (p, q) in
+    [0, 1]^2 maps onto the upper half unit disk of (x, y), with p the radius
+    and q = (1 + x / p) / 2. The unconstrained maximum
+    x = (k+ - k-) / (k+ + k-), y = (m+ - m-) / (m+ + m-) is the answer when
+    it lies in the half disk, and y < 0 drops to y = 0, exactly, since l
+    separates. Outside the circle the maximum is on the arc (p = 1), on the
+    side of theta = pi/2 where cos theta has the sign of x, since
+    l(theta) - l(pi - theta) = (k+ - k-) log((1 + cos theta) / (1 - cos theta));
+    the mirror theta -> pi - theta swaps k+ and k-. No eigensolve. A positive
+    count on HV,HV ++ or --, which the family never gives, is a DomainError.
+    """
+    counts = dataset.counts.ravel()
+    if counts[_NEVER].any():
+        raise DomainError("counts on HV,HV ++ or --, which no family state gives")
+    k_plus, k_minus, m_plus, m_minus = (float(counts[group].sum()) for group in
+                                        (_X_PLUS, _X_MINUS, _Y_PLUS, _Y_MINUS))
+    x = (k_plus - k_minus) / (k_plus + k_minus)
+    y = max(0.0, (m_plus - m_minus) / (m_plus + m_minus))
+    p = math.hypot(x, y)
+    if p == 0.0:
+        return 0.0, 0.5
+    if p <= 1.0:
+        return p, 0.5 * (1.0 + x / p)
+    if x > 0.0:
+        t = _arc_tan_half(k_plus, k_minus, m_plus, m_minus)
+        return 1.0, 1.0 / (1.0 + t * t)
+    t = _arc_tan_half(k_minus, k_plus, m_plus, m_minus)
+    return 1.0, t * t / (1.0 + t * t)
+
+
+def _arc_tan_half(k_plus: float, k_minus: float, m_plus: float,
+                  m_minus: float) -> float:
+    """tan(theta / 2) of the maximum of l(cos theta, sin theta) on
+    0 < theta < pi/2, where q = cos^2(theta / 2).
+
+    With t = tan(theta / 2) and u = tan(pi/4 - theta / 2), the slope is
+    dl/dtheta = k- / t - k+ t + m+ u - m- / u, which falls strictly on the
+    quarter; its root, or the end it tends to, comes from Newton steps
+    safeguarded by bisection of a bracket (0, pi/2).
+    """
+    lo, hi = 0.0, 0.5 * math.pi
+    theta = 0.25 * math.pi
+    for _ in range(100):
+        t, u = math.tan(0.5 * theta), math.tan(0.5 * (0.5 * math.pi - theta))
+        slope = k_minus / t - k_plus * t + m_plus * u - m_minus / u
+        # minus twice the slope's derivative
+        fall = ((k_plus + k_minus / (t * t)) * (1.0 + t * t)
+                + (m_plus + m_minus / (u * u)) * (1.0 + u * u))
+        if slope > 0.0:
+            lo = theta
+        else:
+            hi = theta
+        step = theta + 2.0 * slope / fall
+        step = step if lo < step < hi else 0.5 * (lo + hi)
+        if abs(step - theta) <= 4.0 * math.ulp(theta):
+            break
+        theta = step
+    return math.tan(0.5 * theta)
 
 
 class TomoReport(NamedTuple):

@@ -284,6 +284,20 @@ class TestSweep:
         cfg_file.write_text("mixing_mode = Sideways\n")
         assert cli.main(["sweep", "--config", str(cfg_file)]) == 2
 
+    def test_unusable_out_dir_fails_before_the_sweep(self, capsys, tmp_path,
+                                                      monkeypatch):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+
+        def run_sweep(cfg):
+            raise AssertionError("run_sweep called before --out-dir was made")
+
+        monkeypatch.setattr(harness, "run_sweep", run_sweep)
+        code = cli.main(["sweep", "--p-grid", "0.5", "--reps", "2",
+                         "--out-dir", str(blocker / "out")])
+        assert code == 2
+        assert "config error" in capsys.readouterr().err
+
     def test_removed_variance_reps_key_is_config_error(self, capsys, tmp_path):
         cfg_file = tmp_path / "old.cfg"
         cfg_file.write_text("n_shots = 600\nvariance_reps = 1000\n")

@@ -205,8 +205,7 @@ def _reference_csv(cfg: harness.SweepConfig) -> str:
         dataset = tomography.simulate_tomography(
             states.family_state(p, cfg.q), cfg.n_shots,
             RandomStream(cfg.master_seed, harness.TOMO_FLAG | point))
-        rho_hat = tomography.project_physical(tomography.reconstruct_mle(dataset).state.rho)
-        rows.append(harness.SweepRow(float(p), states.fit_family_params(rho_hat).p, stats))
+        rows.append(harness.SweepRow(float(p), tomography.family_mle(dataset)[0], stats))
     return harness.csv_text(rows, cfg)
 
 
@@ -217,14 +216,13 @@ def test_batched_sweep_matches_per_record_reference(mode):
     assert harness.csv_text(harness.run_sweep(cfg), cfg) == _reference_csv(cfg)
 
 
-# SHA-256 of the default sweep's CSV lines, p_fitted column dropped, joined
-# by "\n"; and p_fitted itself, which the MLE's stopping rule pins only to
-# ~1e-8 across numerically equivalent code
+# SHA-256 of the default sweep's CSV, p_fitted included: the family MLE's p
+# is a closed form of the counts (1 on the arc), so its bytes repeat too
 DEFAULT_SWEEP_DIGESTS = {
     harness.DIRECT_STATE:
-        "104395496505fabe3b78ad10fef088513fb10e2d75bbc64c8c97e62f551ce360",
+        "4af5015ec00627a20f5b6db29c537900c120aa0e08e9643b511add3c8c659436",
     harness.POST_PROCESS_MIX:
-        "854686a5eed52b4ec052cdba119a3f67a52270bd155c8cba2c42e98e62bb8813",
+        "3cd31d302d50b8d14fbcc1facd28b3509814d7e90bed0b0eff7fec820b9f09f3",
 }
 # SHA-256 of the default sweep's six SVGs, which do not read p_fitted
 DEFAULT_SVG_DIGESTS = {
@@ -257,25 +255,12 @@ DEFAULT_SVG_DIGESTS = {
             "6168f26689e601f9552cebfc8f6777ff91c18de787851f66375e3c9f72b836f5",
     },
 }
-DEFAULT_P_FITTED = [
-    0.001368130490017272, 0.09197461423409325, 0.19469262459275832,
-    0.3004093060301538, 0.39274649370335846, 0.4883218139200293,
-    0.5894739867722947, 0.6970837780944499, 0.799272912427425,
-    0.9016807652556281, 0.9999923549122487,
-]
-
-
 @pytest.mark.parametrize("mode", harness.MIXING_MODES)
 def test_default_sweep_is_frozen(mode):
     cfg = harness.build_config(mixing_mode=mode)
     rows = harness.run_sweep(cfg)
-    lines = [line.split(",") for line in harness.csv_text(rows, cfg).splitlines()]
-    skip = lines[0].index("p_fitted")
-    text = "\n".join(",".join(c for j, c in enumerate(line) if j != skip)
-                     for line in lines)
+    text = harness.csv_text(rows, cfg)
     assert hashlib.sha256(text.encode()).hexdigest() == DEFAULT_SWEEP_DIGESTS[mode]
-    np.testing.assert_allclose([row.p_fitted for row in rows], DEFAULT_P_FITTED,
-                               rtol=0.0, atol=1e-7)
     svg_digests = {
         (kind, variant): hashlib.sha256(
             harness.svg_text(rows, cfg, kind, variant).encode("ascii")).hexdigest()
@@ -366,26 +351,26 @@ class TestStddevScaling:
         assert scaled == pytest.approx(0.8, rel=0.25)
 
 
-def test_fit_p_makes_one_eigensolve(eigensolves):
-    # simulate reads the checked state and the MLE start makes one; the
-    # MLE's state goes to the fit, which needs none
-    cfg = small_config()
+def test_fit_p_makes_no_eigensolve(eigensolves):
+    # simulate reads the checked state, and the family MLE is a closed form
+    # of the counts
+    cfg = small_config(q=0.3)
     for point, p in enumerate(cfg.p_grid):
         state = states.check_state(states.family_state(p, cfg.q))
         eigensolves.clear()
         harness._fit_p(cfg, state, point)
-        assert len(eigensolves) == 1
+        assert eigensolves == []
 
 
 @pytest.mark.parametrize("mode, budget", [
-    # per point: one check of rho(p, q) and the MLE start; PostProcessMix
-    # adds the pure and dephased DA,DA laws once per sweep
-    (harness.DIRECT_STATE, 2 * 11),
-    (harness.POST_PROCESS_MIX, 2 * 11 + 2),
+    # per point: one check of rho(p, q); PostProcessMix adds the pure and
+    # dephased DA,DA laws once per sweep
+    (harness.DIRECT_STATE, 11),
+    (harness.POST_PROCESS_MIX, 11 + 2),
 ])
 def test_default_sweep_eigensolve_budget(eigensolves, mode, budget):
     harness.run_sweep(harness.build_config(mixing_mode=mode))
-    assert 0 < len(eigensolves) <= budget
+    assert len(eigensolves) == budget
 
 
 @pytest.mark.parametrize("mode, builds", [

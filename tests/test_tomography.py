@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qmet import harness, matcore, measurement, states, tomography
 from qmet.errors import DomainError
@@ -535,3 +536,116 @@ def test_report_on_the_mle_factor_matches_the_reprojected_state(label):
             (fit.p, fit.q, fit.residual), rel=0.0, abs=1e-12)
         for kind, value in states.measures(ref).items():
             assert got.measures[kind] == pytest.approx(value, rel=0.0, abs=1e-12)
+
+
+# --- family MLE --------------------------------------------------------------
+
+def family_design() -> tuple[np.ndarray, np.ndarray]:
+    """(a, J) with the 36 outcome probabilities a + J (x, y) of the family,
+    x = p (2q - 1) and y = 2 p sqrt(q (1 - q)); rho is affine in (x, y), so
+    they come from the probabilities at (0, 0), (1, 0) and (0, 1)."""
+    a = measurement.probabilities(states.family_state(0.0, 0.5)).ravel()
+    at_x = measurement.probabilities(states.family_state(1.0, 1.0)).ravel()
+    at_y = measurement.probabilities(states.family_state(1.0, 0.5)).ravel()
+    return a, np.stack([at_x - a, at_y - a], axis=1)
+
+
+def family_point(p: float, q: float) -> np.ndarray:
+    return np.array([p * (2.0 * q - 1.0), 2.0 * p * math.sqrt(q * (1.0 - q))])
+
+
+def family_log_likelihood(counts: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Sum of n_x log(a_x + J_x z) over the outcomes seen, at points z (..., 2)."""
+    a, jac = family_design()
+    seen = counts > 0
+    with np.errstate(divide="ignore"):  # -inf where a seen outcome is impossible
+        return np.log(a[seen] + z @ jac[seen].T) @ counts[seen]
+
+
+def half_disk_grid() -> np.ndarray:
+    radius, angle = np.meshgrid(np.linspace(0.0, 1.0, 201), np.linspace(0.0, math.pi, 401))
+    return np.stack([radius * np.cos(angle), radius * np.sin(angle)], axis=-1).reshape(-1, 2)
+
+
+class TestFamilyMLE:
+    def test_outcome_groups_are_the_family_probabilities(self):
+        groups = (tomography._X_PLUS, tomography._X_MINUS, tomography._Y_PLUS,
+                  tomography._Y_MINUS, tomography._NEVER)
+        flat = [i for group in groups for i in group]
+        assert len(flat) == len(set(flat)) == 28
+        constant = sorted(set(range(36)) - set(flat))
+        base = measurement.probabilities(states.family_state(0.0, 0.5)).ravel()
+        for p, q in ((0.3, 0.2), (0.8, 0.5), (1.0, 0.9), (0.55, 1.0)):
+            x, y = family_point(p, q)
+            probs = measurement.probabilities(states.family_state(p, q)).ravel()
+            for group, factor in zip(groups, (1.0 + x, 1.0 - x, 1.0 + y, 1.0 - y, 0.0)):
+                np.testing.assert_allclose(probs[group], base[group] * factor,
+                                           rtol=0.0, atol=1e-15)
+            np.testing.assert_allclose(probs[constant], 0.25, rtol=0.0, atol=1e-15)
+        assert base[tomography._NEVER].tolist() == [0.0, 0.0]
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(p=st.floats(0.0, 1.0), q=st.floats(0.0, 1.0),
+           n_per_setting=st.floats(1.0, 1e9))
+    def test_exact_probabilities_give_back_p_and_q(self, p, q, n_per_setting):
+        p_hat, q_hat = tomography.family_mle(
+            exact_dataset(states.family_state(p, q), n_per_setting))
+        assert p_hat == pytest.approx(p, rel=0.0, abs=1e-9)
+        # q is unidentifiable as p -> 0, and reads 1/2 at p = 0
+        if p >= 1e-6:
+            assert q_hat == pytest.approx(q, rel=0.0, abs=1e-9)
+        elif p_hat == 0.0:
+            assert q_hat == 0.5
+
+    def test_matches_a_brute_force_oracle_with_kkt_at_the_boundary(self):
+        grid = half_disk_grid()
+        a, jac = family_design()
+        cases = set()
+        for k, (p, q, shots) in enumerate([(0.0, 0.5, 100), (0.05, 0.3, 200),
+                                           (0.5, 0.3, 100), (1.0, 0.5, 100),
+                                           (1.0, 0.3, 100), (1.0, 1.0, 50),
+                                           (1.0, 0.0, 50), (0.9, 0.8, 20)]):
+            for seed in range(4):
+                ds = tomography.simulate_tomography(states.family_state(p, q), shots,
+                                                    RandomStream(seed, k))
+                counts = ds.counts.ravel()
+                p_hat, q_hat = tomography.family_mle(ds)
+                z = family_point(p_hat, q_hat)
+                best = family_log_likelihood(counts, grid).max()
+                got = family_log_likelihood(counts, z)
+                assert got >= best - 1e-9 * abs(best)
+                seen = counts > 0
+                grad = (counts[seen] / (a[seen] + jac[seen] @ z)) @ jac[seen] / counts.sum()
+                # the gradient lies in the normal cone of the active
+                # constraints: the outward normal z on the arc, (0, -1) on
+                # the diameter
+                on_arc, on_diameter = p_hat == 1.0, z[1] == 0.0
+                if on_arc and on_diameter:
+                    cases.add("corner")
+                    assert grad[0] * z[0] >= -1e-12 and grad[1] <= 1e-12
+                elif on_arc:
+                    cases.add("arc")
+                    assert abs(grad @ np.array([-z[1], z[0]])) < 1e-9
+                    assert grad @ z >= -1e-12
+                elif on_diameter:
+                    cases.add("diameter")
+                    assert abs(grad[0]) < 1e-12 and grad[1] <= 1e-12
+                else:
+                    cases.add("interior")
+                    np.testing.assert_allclose(grad, 0.0, rtol=0.0, atol=1e-12)
+        assert cases == {"arc", "corner", "diameter", "interior"}
+
+    def test_count_the_family_never_gives_is_a_domain_error(self):
+        counts = measurement.probabilities(states.family_state(0.4, 0.5)) * 100.0
+        counts[0, 0] = 1.0  # HV,HV ++
+        with pytest.raises(DomainError, match="HV,HV"):
+            tomography.family_mle(tomography.TomoDataset(counts))
+
+    def test_agrees_with_the_mle_and_least_squares_fit_on_the_default_grid(self):
+        cfg = harness.SweepConfig()
+        for point, p in enumerate(cfg.p_grid):
+            ds = tomography.simulate_tomography(
+                states.family_state(p, cfg.q), cfg.n_shots,
+                RandomStream(cfg.master_seed, harness.TOMO_FLAG | point))
+            fit = states.fit_family_params(tomography.reconstruct_mle(ds).state)
+            assert tomography.family_mle(ds)[0] == pytest.approx(fit.p, rel=0.0, abs=2e-4)
