@@ -9,11 +9,14 @@ All estimators act on the four joint-count record of a single DA x DA setting
   variance 1 - N^2 at every q. That saturates the quantum Cramer-Rao bound
   QCRB_N(q) = 4q(1-q) - N^2 at q = 1/2 only; off q = 1/2 the bound is lower.
 
-Every measure is a function of N (states.MEASURES). An estimator computes
-its variant's N-scale estimate v once and returns from_n(v) of the kind's
-row. Each uncertainty curve is the N-scale curve times |dfrom_n(N)|, its
-exact delta-method image, and every curve and estimate reaches N through
-the same _to_n.
+Every measure is a function of N (states.MEASURES). An estimator is two
+steps: n_estimates computes both variants' N-scale estimates v from one set
+of frequencies, and measure_estimates returns from_n(v) of the kind's row,
+with the log-negativity floor. estimator_values and estimate are their
+composition, and a sweep calls n_estimates once and measure_estimates once
+per kind on a whole batch of records. Each uncertainty curve is the N-scale
+curve times |dfrom_n(N)|, its exact delta-method image, and every curve and
+estimate reaches N through the same _to_n.
 
 The numeric Fisher information checks that bound on the exact tangent of
 rho along N, a constant since rho is affine in p, carried by the same factor.
@@ -150,37 +153,45 @@ def clip_to_range(kind: str, values):
     return np.clip(values, *_row(kind).range)
 
 
-def estimator_values(kind: str, variant: str,
-                     counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Raw estimates and log-floor mask of (..., 4) DA x DA count records.
-
-    Each variant estimates N from the frequencies f = counts / n:
+def n_estimates(counts: np.ndarray) -> np.ndarray:
+    """(2, ...) N-scale estimates v of (..., 4) DA x DA count records, rows in
+    VARIANTS order, both from one f = counts / n:
 
     * non-optimal: v = 1 - 4 f_pp;
-    * optimal: the parity combination v = f_pm + f_mp - f_pp - f_mm;
-
-    and the kind reads from_n(v) of its states.MEASURES row. A log-negativity
-    v <= -1, whose log argument 1 + v statistical noise pushed to <= 0, is
-    floored to LOG_CLAMP - 1, which reads log2(LOG_CLAMP) = -20, and flagged
-    in the mask. A single record gives 0-d results.
+    * optimal: the parity combination v = f_pm + f_mp - f_pp - f_mm.
     """
-    if kind not in states.MEASURES or variant not in VARIANTS:
-        raise DomainError(f"no estimator for kind={kind!r}, variant={variant!r}")
     counts = np.asarray(counts)
     n = counts.sum(axis=-1, keepdims=True)
     if np.any(n < 1):
         raise DomainError("empty count record")
     f = counts / n
     f_pp = f[..., 0]
-    if variant == NONOPTIMAL:
-        v = 1.0 - 4.0 * f_pp
-    else:
-        v = f[..., 1] + f[..., 2] - f_pp - f[..., 3]
+    return np.stack([1.0 - 4.0 * f_pp, f[..., 1] + f[..., 2] - f_pp - f[..., 3]])
+
+
+def measure_estimates(kind: str, v) -> tuple[np.ndarray, np.ndarray]:
+    """Raw estimates from_n(v) of N-scale estimates v, and their log-floor mask.
+
+    A log-negativity v <= -1, whose log argument 1 + v statistical noise
+    pushed to <= 0, is floored to LOG_CLAMP - 1, which reads
+    log2(LOG_CLAMP) = -20, and flagged in the mask.
+    """
     floored = np.zeros(np.shape(v), dtype=bool)
     if kind == states.LOG_NEGATIVITY:
         floored = v <= -1.0
         v = np.where(floored, LOG_CLAMP - 1.0, v)
     return states.MEASURES[kind].from_n(v), floored
+
+
+def estimator_values(kind: str, variant: str,
+                     counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Raw estimates and log-floor mask of (..., 4) DA x DA count records: the
+    variant's row of n_estimates read through measure_estimates. A single
+    record gives 0-d results.
+    """
+    if kind not in states.MEASURES or variant not in VARIANTS:
+        raise DomainError(f"no estimator for kind={kind!r}, variant={variant!r}")
+    return measure_estimates(kind, n_estimates(counts)[VARIANTS.index(variant), ...])
 
 
 def estimate(kind: str, variant: str, counts: measurement.OutcomeCounts,

@@ -7,16 +7,23 @@ single-estimate standard deviations together with the three theory curves.
 Each grid point also gets a nine-setting tomography draw whose family MLE
 (tomography.family_mle, a closed form of the counts) supplies the p_fitted
 column, so plots can use either the true or the fitted mixing parameter on
-the x axis. A grid point makes one eigensolve, the check of its state.
+the x axis. A grid point makes one eigensolve, the check of its state, and
+one measurement.probabilities table, which gives both its DA,DA law and its
+tomography draw.
 
 All randomness derives from the master seed through counter-based stream
 indices, making sweep outputs byte-identical across runs and platforms.
 Repetition rep of slot s at grid point k reads stream
-(master_seed, (k*M + rep)*8 + s). Each slot's M repetitions are drawn as one
-batch of keyed draws, a (M, 4) count array whose every row is still its own
-(master_seed, run_index) stream, and each estimator acts on that array in one
-expression; the six clipped estimate arrays form one (6, M) table, reduced by
-one mean and one standard deviation.
+(master_seed, (k*M + rep)*8 + s). The grid is run in batches of whole points,
+max(1, ROWS // M) of them, so a batch holds at most ROWS keyed-draw rows
+unless one point alone has more. Each slot of a batch is one keyed draw over
+the contiguous run indices of its points, a (points*M, 4) count array whose
+every row is still its own (master_seed, run_index) stream, so the batch size
+moves no draw. The six estimators act on that array at once: one (6, points, M)
+table of clipped estimates, reduced along M by one mean and one standard
+deviation. The cap keeps the working set of a sweep with many repetitions
+(M >= ROWS, one point per batch) at one point's, while a default sweep is one
+batch: one keyed draw per slot and 11 tomography streams.
 """
 from __future__ import annotations
 
@@ -51,6 +58,15 @@ SLOT_PURE = 1
 SLOT_MIX = 2
 SLOT_SELECT = 3
 TOMO_FLAG = 1 << 62
+
+# keyed-draw rows a batch of whole grid points aims at: a batch holds
+# max(1, ROWS // M) points, so the default grid is one batch while a point of
+# M >= ROWS repetitions is a batch of its own and the working set stays M rows
+ROWS = 256
+
+_DA_DA_ROW = measurement.SETTINGS.index(measurement.DA_DA)
+# (2, 6) lower and upper range of each estimator's measure
+_RANGES = np.array([states.MEASURES[kind].range for kind, _ in _ESTIMATORS]).T
 
 _DEFAULT_GRID = tuple(round(0.1 * k, 10) for k in range(11))
 
@@ -196,33 +212,60 @@ class SweepRow(NamedTuple):
     stats: list[EstimatorStats]
 
 
-def _run_indices(cfg: SweepConfig, point: int, slot: int) -> range:
-    """Stream run indices (point*M + rep)*8 + slot of every repetition."""
-    start = point * cfg.repetitions * 8 + slot
-    return range(start, start + 8 * cfg.repetitions, 8)
-
-
-def _da_law(rho: np.ndarray | states.CheckedState) -> np.ndarray:
-    return measurement.outcome_probabilities(rho, measurement.DA_DA)
-
-
-def _draw(cfg: SweepConfig, point: int, slot: int, probs: np.ndarray) -> np.ndarray:
-    """(M, 4) DA,DA count records of one slot at a grid point, one keyed batch."""
-    return measurement.draw_counts_keyed(probs, cfg.n_shots, cfg.master_seed,
-                                         _run_indices(cfg, point, slot))
-
-
-def _fit_p(cfg: SweepConfig, state: states.CheckedState, point: int) -> float:
-    """p of the family MLE of one nine-setting draw of the checked state."""
+def _fit_p(cfg: SweepConfig, probs: np.ndarray, point: int) -> float:
+    """p of the family MLE of one nine-setting draw from a point's (9, 4)
+    measurement.probabilities table."""
     stream = RandomStream(cfg.master_seed, TOMO_FLAG | point)
-    return tomography.family_mle(
-        tomography.simulate_tomography(state, cfg.n_shots, stream))[0]
+    return tomography.family_mle(tomography.draw_dataset(probs, cfg.n_shots, stream))[0]
+
+
+def _batch_counts(cfg: SweepConfig, a: int, b: int, laws: list[np.ndarray],
+                  mix_laws: tuple[np.ndarray, np.ndarray] | None) -> np.ndarray:
+    """((b - a)*M, 4) DA,DA count records of grid points [a, b), rows in
+    (point, rep) order: one keyed draw per slot, whose rows are the streams
+    (point*M + rep)*8 + slot, contiguous over the batch.
+
+    laws are the points' DA,DA laws; mix_laws, the pure and dephased laws,
+    select PostProcessMix.
+    """
+    m = cfg.repetitions
+
+    def draw(slot: int, law: np.ndarray) -> np.ndarray:
+        return measurement.draw_counts_keyed(law, cfg.n_shots, cfg.master_seed,
+                                             range(a * m * 8 + slot, b * m * 8 + slot, 8))
+
+    if mix_laws is None:
+        # a one-point batch shares its law; only a longer one copies it per row
+        return draw(SLOT_DIRECT, laws[0] if b - a == 1 else np.repeat(laws, m, axis=0))
+    pure, dephased = mix_laws
+    weights = np.repeat(cfg.p_grid[a:b], m)
+    return draw(SLOT_SELECT, measurement.mixture_law(draw(SLOT_PURE, pure),
+                                                     draw(SLOT_MIX, dephased), weights))
+
+
+def _estimate_table(v: np.ndarray) -> np.ndarray:
+    """(6, ...) table of the six clipped estimates from (2, ...) N-scale
+    estimates v (estimation.n_estimates), rows in _ESTIMATORS order: one
+    measure_estimates call per kind, both variants at once, and one clip.
+
+    It takes v, not the counts, so that a batch's counts are freed before
+    the table is built, and fills and clips one array in place: the batch's
+    peak allocation then stays at the per-point sweep's."""
+    table = np.empty((len(SWEEP_KINDS),) + v.shape)
+    for row, kind in zip(table, SWEEP_KINDS):
+        row[...] = estimation.measure_estimates(kind, v)[0]
+    table = table.reshape(len(_ESTIMATORS), *v.shape[1:])
+    lo, hi = _RANGES.reshape(2, len(_ESTIMATORS), *[1] * (v.ndim - 1))
+    return np.clip(table, lo, hi, out=table)
 
 
 def run_sweep(cfg: SweepConfig) -> list[SweepRow]:
     """M repeated six-estimator runs at every grid point, plus a tomographic fit.
 
-    Each point's state is checked once, for its draws and its tomography;
+    Grid points go in batches of max(1, ROWS // M) whole points. Each point's
+    state is checked once and its one probabilities table gives both its
+    DA,DA law and its tomography draw; each batch draws every slot as one
+    keyed batch and reduces one (6, points, M) estimate table along M.
     PostProcessMix draws from the pure and dephased laws, the same at every
     point.
     """
@@ -230,29 +273,33 @@ def run_sweep(cfg: SweepConfig) -> list[SweepRow]:
     truth = {kind: states.MEASURES[kind].from_n(n) for kind in SWEEP_KINDS}
     nonopt = {kind: estimation.nonopt_unc_curves(kind, v) for kind, v in truth.items()}
     qcrb = {kind: estimation.qcrb_unc(kind, v, cfg.q) for kind, v in truth.items()}
+    mix_laws = None
     if cfg.mixing_mode == POST_PROCESS_MIX:
-        pure = _da_law(states.family_state(1.0, cfg.q))
-        dephased = _da_law(states.dephased_mixture())
+        mix_laws = (measurement.outcome_probabilities(states.family_state(1.0, cfg.q),
+                                                      measurement.DA_DA),
+                    measurement.outcome_probabilities(states.dephased_mixture(),
+                                                      measurement.DA_DA))
+    m = cfg.repetitions
+    step = max(1, ROWS // m)
     rows = []
-    for point, p in enumerate(cfg.p_grid):
-        state = states.check_state(states.family_state(p, cfg.q))
-        if cfg.mixing_mode == DIRECT_STATE:
-            counts = _draw(cfg, point, SLOT_DIRECT, _da_law(state))
-        else:
-            law = measurement.mixture_law(_draw(cfg, point, SLOT_PURE, pure),
-                                          _draw(cfg, point, SLOT_MIX, dephased), p)
-            counts = _draw(cfg, point, SLOT_SELECT, law)
-        # one (6, M) table of the clipped estimates, reduced once
-        table = np.stack([estimation.clip_to_range(
-            kind, estimation.estimator_values(kind, variant, counts)[0])
-            for kind, variant in _ESTIMATORS])
-        stats = [EstimatorStats(kind, variant, mean, stddev, float(truth[kind][point]),
-                                float(nonopt[kind][point]), float(qcrb[kind][point]))
-                 for (kind, variant), mean, stddev in zip(
-                     _ESTIMATORS, table.mean(axis=1).tolist(),
-                     table.std(axis=1, ddof=1).tolist())]
-        rows.append(SweepRow(p_true=float(p), p_fitted=_fit_p(cfg, state, point),
-                             stats=stats))
+    for a in range(0, len(cfg.p_grid), step):
+        b = min(a + step, len(cfg.p_grid))
+        laws, fitted = [], []
+        for point in range(a, b):
+            probs = measurement.probabilities(
+                states.check_state(states.family_state(cfg.p_grid[point], cfg.q)))
+            laws.append(probs[_DA_DA_ROW])
+            fitted.append(_fit_p(cfg, probs, point))
+        table = _estimate_table(estimation.n_estimates(
+            _batch_counts(cfg, a, b, laws, mix_laws).reshape(b - a, m, 4)))
+        means, sds = table.mean(axis=-1).T.tolist(), table.std(axis=-1, ddof=1).T.tolist()
+        del table  # not held while the batch's rows are built
+        for j, point in enumerate(range(a, b)):
+            stats = [EstimatorStats(kind, variant, mean, sd, float(truth[kind][point]),
+                                    float(nonopt[kind][point]), float(qcrb[kind][point]))
+                     for (kind, variant), mean, sd in zip(_ESTIMATORS, means[j], sds[j])]
+            rows.append(SweepRow(p_true=float(cfg.p_grid[point]), p_fitted=fitted[j],
+                                 stats=stats))
     return rows
 
 
@@ -301,15 +348,17 @@ def _svg_x(x):
     return _ML + (x - 0.0) / 1.0 * (_SVG_W - _ML - _MR)
 
 
-# every panel draws its theory curves over the same p points
+# every panel draws its theory curves over the same p points, so the x text
+# is fixed and a curve's points are one "%" of this template on its y values
 _CURVE_P = np.linspace(0.0, 1.0, _CURVE_POINTS)
 _CURVE_X_TEXT = ["%.2f" % x for x in _svg_x(_CURVE_P).tolist()]
+_CURVE_TEMPLATE = " ".join(x + ",%.2f" for x in _CURVE_X_TEXT)
 
 
 def _curve(ys, sy, style: str) -> str:
     """A theory curve over _CURVE_P; sy maps the whole array at once."""
-    pts = " ".join(map("%s,%.2f".__mod__, zip(_CURVE_X_TEXT, sy(ys).tolist())))
-    return f'<polyline fill="none" {style} points="{pts}"/>'
+    return (f'<polyline fill="none" {style} points="'
+            f'{_CURVE_TEMPLATE % tuple(sy(ys).tolist())}"/>')
 
 
 def svg_text(rows: list[SweepRow], cfg: SweepConfig, kind: str,
@@ -340,7 +389,8 @@ def svg_text(rows: list[SweepRow], cfg: SweepConfig, kind: str,
     pad = 0.06 * (y_max - y_min or 1.0)
     y_min, y_max = y_min - pad, y_max + pad
 
-    def sy(y: float) -> float:
+    def sy(y):
+        """Panel y coordinate of a value, or of an array of them."""
         return _SVG_H - _MB - (y - y_min) / (y_max - y_min) * (_SVG_H - _MT - _MB)
 
     dashed = 'stroke="#1565c0" stroke-width="1.8" stroke-dasharray="8 5"'
@@ -387,15 +437,15 @@ def svg_text(rows: list[SweepRow], cfg: SweepConfig, kind: str,
     parts.append(_curve(env_q_lo, sy, solid))
     parts.append(_curve(env_q_hi, sy, solid))
     # data: error bars are the single-estimate standard deviation
-    for x, m, e in zip(xs, means, errs):
-        cx, top, bot = _svg_x(x), sy(m + e), sy(m - e)
+    for cx, cy, top, bot in zip(*(a.tolist() for a in (
+            _svg_x(xs), sy(means), sy(means + errs), sy(means - errs)))):
         parts.append(f'<line x1="{cx:.2f}" y1="{top:.2f}" x2="{cx:.2f}" '
                      f'y2="{bot:.2f}" stroke="#111" stroke-width="1.2"/>')
         for ty in (top, bot):
             parts.append(f'<line x1="{cx - 4:.2f}" y1="{ty:.2f}" '
                          f'x2="{cx + 4:.2f}" y2="{ty:.2f}" '
                          f'stroke="#111" stroke-width="1.2"/>')
-        parts.append(f'<circle cx="{cx:.2f}" cy="{sy(m):.2f}" r="3" fill="#111"/>')
+        parts.append(f'<circle cx="{cx:.2f}" cy="{cy:.2f}" r="3" fill="#111"/>')
     # legend
     lx, ly = _ML + 12, _MT + 8
     for label, style in (("theory value", dashed),

@@ -177,15 +177,21 @@ def sample_counts(rho: np.ndarray, setting: str, n: int,
 
 
 def mixture_law(counts_pure: np.ndarray, counts_mix: np.ndarray,
-                p: float) -> np.ndarray:
-    """Per-shot law p*f_pure + (1-p)*f_mix of (..., 4) count records."""
-    if not (0.0 <= p <= 1.0):
+                p: float | np.ndarray) -> np.ndarray:
+    """Per-shot law p*f_pure + (1-p)*f_mix of (..., 4) count records.
+
+    p is one weight for every record or an array of one weight per record
+    (the records' leading shape); every weight must lie in [0, 1].
+    """
+    w = np.asarray(p, dtype=float)
+    if not np.all((0.0 <= w) & (w <= 1.0)):  # NaN fails both
         raise DomainError(f"mixing weight out of range: {p!r}")
+    w = w[..., None]
     n_pure = np.sum(counts_pure, axis=-1, keepdims=True)
     n_mix = np.sum(counts_mix, axis=-1, keepdims=True)
     if np.any(n_pure < 1) or np.any(n_mix < 1):
         raise DomainError("cannot mix empty count records")
-    return p * counts_pure / n_pure + (1.0 - p) * counts_mix / n_mix
+    return w * counts_pure / n_pure + (1.0 - w) * counts_mix / n_mix
 
 
 def mix_counts(counts_pure: OutcomeCounts, counts_mix: OutcomeCounts, p: float,

@@ -352,13 +352,13 @@ class TestStddevScaling:
 
 
 def test_fit_p_makes_no_eigensolve(eigensolves):
-    # simulate reads the checked state, and the family MLE is a closed form
-    # of the counts
+    # the fit draws from the point's probabilities table, and the family MLE
+    # is a closed form of the counts
     cfg = small_config(q=0.3)
     for point, p in enumerate(cfg.p_grid):
-        state = states.check_state(states.family_state(p, cfg.q))
+        probs = measurement.probabilities(states.check_state(states.family_state(p, cfg.q)))
         eigensolves.clear()
-        harness._fit_p(cfg, state, point)
+        harness._fit_p(cfg, probs, point)
         assert eigensolves == []
 
 
@@ -374,13 +374,56 @@ def test_default_sweep_eigensolve_budget(eigensolves, mode, budget):
 
 
 @pytest.mark.parametrize("mode, builds", [
-    # per point: one keyed batch per draw slot and one tomography stream
-    (harness.DIRECT_STATE, (1 + 1) * 11),
-    (harness.POST_PROCESS_MIX, (3 + 1) * 11),
+    # the default grid is one batch: one keyed draw per slot, plus one
+    # tomography stream per point
+    (harness.DIRECT_STATE, 1 + 11),
+    (harness.POST_PROCESS_MIX, 3 + 11),
 ])
 def test_default_sweep_philox_budget(philox_builds, mode, builds):
     harness.run_sweep(harness.build_config(mixing_mode=mode))
     assert len(philox_builds) == builds
+
+
+@pytest.mark.parametrize("mode, budget", [
+    # one table per point serves its DA,DA law and its tomography draw;
+    # PostProcessMix adds the pure and dephased laws once per sweep
+    (harness.DIRECT_STATE, 11),
+    (harness.POST_PROCESS_MIX, 11 + 2),
+])
+def test_default_sweep_probabilities_budget(monkeypatch, mode, budget):
+    calls = []
+    original = measurement.probabilities
+
+    def counted(rho):
+        calls.append(rho)
+        return original(rho)
+
+    monkeypatch.setattr(measurement, "probabilities", counted)
+    harness.run_sweep(harness.build_config(mixing_mode=mode))
+    assert len(calls) == budget
+
+
+@pytest.mark.parametrize("mode", harness.MIXING_MODES)
+def test_sweep_does_not_depend_on_the_batch_size(monkeypatch, mode):
+    # 5 points x 3 repetitions: ROWS = 1 makes one-point batches, 7 two-point
+    # batches with a ragged last one, 100 one batch of the whole grid
+    cfg = small_config(p_grid=(0.0, 0.2, 0.45, 0.8, 1.0), n_shots=300, repetitions=3,
+                       master_seed=-11, mixing_mode=mode, q=0.3)
+    sizes = []
+    original = measurement.draw_counts_keyed
+
+    def spied(probs, n, master_seed, run_indices):
+        sizes.append(len(run_indices))
+        return original(probs, n, master_seed, run_indices)
+
+    monkeypatch.setattr(measurement, "draw_counts_keyed", spied)
+    texts = []
+    for rows in (1, 7, 100):
+        monkeypatch.setattr(harness, "ROWS", rows)
+        sizes.clear()
+        texts.append(harness.csv_text(harness.run_sweep(cfg), cfg))
+        assert 0 < max(sizes) <= max(cfg.repetitions, rows)
+    assert texts[0] == texts[1] == texts[2] == _reference_csv(cfg)
 
 
 @pytest.mark.parametrize("q", [0.1, 0.2, 0.3, 0.35, 0.7])

@@ -308,6 +308,28 @@ def test_keyed_batch_rejects_bad_inputs():
         ms.mixture_law(pure, pure, -0.1)
 
 
+def test_mixture_law_per_record_weights_equal_the_scalar_calls():
+    # the sweep mixes a batch of grid points with one weight per record
+    rng = np.random.default_rng(5)
+    pure = rng.integers(0, 50, size=(6, 4)) + np.array([1, 0, 0, 0])
+    mix = rng.integers(0, 50, size=(6, 4)) + np.array([0, 0, 0, 1])
+    weights = np.array([0.0, 0.1, 0.35, 0.35, 0.7, 1.0])
+    law = ms.mixture_law(pure, mix, weights)
+    assert law.shape == (6, 4)
+    for row, (cp, cm, p) in enumerate(zip(pure, mix, weights.tolist())):
+        assert law[row].tobytes() == ms.mixture_law(cp, cm, p).tobytes()
+
+
+@pytest.mark.parametrize("weights", [
+    np.array([0.2, 1.5]), np.array([-0.1, 0.5]), np.array([0.3, np.nan]), np.nan,
+    1.0 + 1e-12,
+])
+def test_mixture_law_rejects_every_bad_weight(weights):
+    pure = np.array([[0, 5, 5, 0], [1, 1, 1, 1]])
+    with pytest.raises(DomainError):
+        ms.mixture_law(pure, pure, weights)
+
+
 # --- serialization --------------------------------------------------------------------
 
 def test_counts_record_round_trip():

@@ -1,9 +1,10 @@
 """Property tests over randomly drawn inputs (Hypothesis, derandomized)."""
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
-from qmet import estimation, measurement, states, tomography
+from qmet import estimation, harness, measurement, states, tomography
 from qmet.errors import DomainError
 from qmet.streams import RandomStream
 
@@ -102,6 +103,32 @@ def test_measure_table_rows_are_consistent(kind, n):
     h = 1e-6
     central = (row.from_n(n + h) - row.from_n(n - h)) / (2.0 * h)
     np.testing.assert_allclose(row.dfrom_n(n), central, rtol=1e-7, atol=1e-9)
+
+
+# --- the sweep's estimate table ----------------------------------------------
+
+# (..., 4) count records, zeros common so that one-outcome records and n = 1
+# appear; an empty record gets one ++ shot
+count_arrays = hnp.arrays(
+    np.int64, hnp.array_shapes(min_dims=1, max_dims=3, max_side=5).map(lambda s: s + (4,)),
+    elements=st.one_of(st.just(0), st.integers(0, 3), st.integers(0, 10**12)),
+).map(lambda c: c + ((c.sum(axis=-1, keepdims=True) == 0) & (np.arange(4) == 0)))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(counts=count_arrays)
+@example(counts=np.eye(4, dtype=np.int64))  # n = 1, each outcome alone
+@example(counts=np.array([[7, 0, 0, 0], [0, 0, 0, 10**9], [3, 0, 0, 3]]))
+@example(counts=np.array([1, 0, 0, 0]))
+def test_estimate_table_is_the_six_clipped_estimators_and_stays_in_range(counts):
+    table = harness._estimate_table(estimation.n_estimates(counts))
+    assert table.shape == (6,) + counts.shape[:-1]
+    for row, (kind, variant) in zip(table, harness._ESTIMATORS):
+        raw, _ = estimation.estimator_values(kind, variant, counts)
+        expected = np.asarray(estimation.clip_to_range(kind, raw))
+        assert row.shape == expected.shape and row.tobytes() == expected.tobytes()
+        lo, hi = states.MEASURES[kind].range
+        assert np.all((lo <= row) & (row <= hi))
 
 
 def test_measure_ranges():
