@@ -8,8 +8,8 @@ Each grid point also gets a nine-setting tomography draw whose family MLE
 (tomography.family_mle, a closed form of the counts) supplies the p_fitted
 column, so plots can use either the true or the fitted mixing parameter on
 the x axis. A grid point makes one eigensolve, the check of its state, and
-one measurement.probabilities table, which gives both its DA,DA law and its
-tomography draw.
+one measurement.probabilities table: its DA,DA row is the point's law, and
+the whole (9, 4) table its tomography law.
 
 All randomness derives from the master seed through counter-based stream
 indices, making sweep outputs byte-identical across runs and platforms.
@@ -19,11 +19,13 @@ max(1, ROWS // M) of them, so a batch holds at most ROWS keyed-draw rows
 unless one point alone has more. Each slot of a batch is one keyed draw over
 the contiguous run indices of its points, a (points*M, 4) count array whose
 every row is still its own (master_seed, run_index) stream, so the batch size
-moves no draw. The six estimators act on that array at once: one (6, points, M)
-table of clipped estimates, reduced along M by one mean and one standard
-deviation. The cap keeps the working set of a sweep with many repetitions
-(M >= ROWS, one point per batch) at one point's, while a default sweep is one
-batch: one keyed draw per slot and 11 tomography streams.
+moves no draw. The batch's tomography datasets are one more keyed draw, one
+(9, 4) block per point on stream (master_seed, TOMO_FLAG | point). The six
+estimators act on the count array at once: one (6, points, M) table of
+clipped estimates, reduced along M by one mean and one standard deviation.
+The cap keeps the working set of a sweep with many repetitions (M >= ROWS,
+one point per batch) at one point's, while a default sweep is one batch: one
+keyed draw per slot and one for the tomography datasets.
 """
 from __future__ import annotations
 
@@ -35,7 +37,6 @@ import numpy as np
 
 from . import estimation, measurement, states, tomography
 from .errors import ConfigError
-from .streams import RandomStream
 
 DIRECT_STATE = "DirectState"
 POST_PROCESS_MIX = "PostProcessMix"
@@ -65,8 +66,6 @@ TOMO_FLAG = 1 << 62
 ROWS = 256
 
 _DA_DA_ROW = measurement.SETTINGS.index(measurement.DA_DA)
-# (2, 6) lower and upper range of each estimator's measure
-_RANGES = np.array([states.MEASURES[kind].range for kind, _ in _ESTIMATORS]).T
 
 _DEFAULT_GRID = tuple(round(0.1 * k, 10) for k in range(11))
 
@@ -212,21 +211,14 @@ class SweepRow(NamedTuple):
     stats: list[EstimatorStats]
 
 
-def _fit_p(cfg: SweepConfig, probs: np.ndarray, point: int) -> float:
-    """p of the family MLE of one nine-setting draw from a point's (9, 4)
-    measurement.probabilities table."""
-    stream = RandomStream(cfg.master_seed, TOMO_FLAG | point)
-    return tomography.family_mle(tomography.draw_dataset(probs, cfg.n_shots, stream))[0]
-
-
-def _batch_counts(cfg: SweepConfig, a: int, b: int, laws: list[np.ndarray],
+def _batch_counts(cfg: SweepConfig, a: int, b: int, laws: np.ndarray,
                   mix_laws: tuple[np.ndarray, np.ndarray] | None) -> np.ndarray:
     """((b - a)*M, 4) DA,DA count records of grid points [a, b), rows in
     (point, rep) order: one keyed draw per slot, whose rows are the streams
     (point*M + rep)*8 + slot, contiguous over the batch.
 
-    laws are the points' DA,DA laws; mix_laws, the pure and dephased laws,
-    select PostProcessMix.
+    laws, (b - a, 4), are the points' DA,DA laws, repeated to one row per
+    record; mix_laws, the pure and dephased laws, select PostProcessMix.
     """
     m = cfg.repetitions
 
@@ -235,8 +227,7 @@ def _batch_counts(cfg: SweepConfig, a: int, b: int, laws: list[np.ndarray],
                                              range(a * m * 8 + slot, b * m * 8 + slot, 8))
 
     if mix_laws is None:
-        # a one-point batch shares its law; only a longer one copies it per row
-        return draw(SLOT_DIRECT, laws[0] if b - a == 1 else np.repeat(laws, m, axis=0))
+        return draw(SLOT_DIRECT, np.repeat(laws, m, axis=0))
     pure, dephased = mix_laws
     weights = np.repeat(cfg.p_grid[a:b], m)
     return draw(SLOT_SELECT, measurement.mixture_law(draw(SLOT_PURE, pure),
@@ -246,28 +237,28 @@ def _batch_counts(cfg: SweepConfig, a: int, b: int, laws: list[np.ndarray],
 def _estimate_table(v: np.ndarray) -> np.ndarray:
     """(6, ...) table of the six clipped estimates from (2, ...) N-scale
     estimates v (estimation.n_estimates), rows in _ESTIMATORS order: one
-    measure_estimates call per kind, both variants at once, and one clip.
+    measure_estimates and one estimation.clip_to_range call per kind, both
+    variants at once.
 
     It takes v, not the counts, so that a batch's counts are freed before
-    the table is built, and fills and clips one array in place: the batch's
-    peak allocation then stays at the per-point sweep's."""
+    the table is built, and fills one array: the batch's peak allocation
+    then stays at the per-point sweep's."""
     table = np.empty((len(SWEEP_KINDS),) + v.shape)
     for row, kind in zip(table, SWEEP_KINDS):
-        row[...] = estimation.measure_estimates(kind, v)[0]
-    table = table.reshape(len(_ESTIMATORS), *v.shape[1:])
-    lo, hi = _RANGES.reshape(2, len(_ESTIMATORS), *[1] * (v.ndim - 1))
-    return np.clip(table, lo, hi, out=table)
+        row[...] = estimation.clip_to_range(kind, estimation.measure_estimates(kind, v)[0])
+    return table.reshape(len(_ESTIMATORS), *v.shape[1:])
 
 
 def run_sweep(cfg: SweepConfig) -> list[SweepRow]:
     """M repeated six-estimator runs at every grid point, plus a tomographic fit.
 
     Grid points go in batches of max(1, ROWS // M) whole points. Each point's
-    state is checked once and its one probabilities table gives both its
-    DA,DA law and its tomography draw; each batch draws every slot as one
-    keyed batch and reduces one (6, points, M) estimate table along M.
-    PostProcessMix draws from the pure and dephased laws, the same at every
-    point.
+    state is checked once and gives one probabilities table; the batch's
+    (points, 9, 4) tables are its tomography laws, one keyed draw whose
+    family MLEs are the p_fitted column, and their DA,DA rows its DA,DA laws.
+    Each batch draws every slot as one keyed draw and reduces one
+    (6, points, M) estimate table along M. PostProcessMix draws from the pure
+    and dephased laws, the same at every point.
     """
     n = states.negativity_closed(np.array(cfg.p_grid), cfg.q)
     truth = {kind: states.MEASURES[kind].from_n(n) for kind in SWEEP_KINDS}
@@ -284,17 +275,17 @@ def run_sweep(cfg: SweepConfig) -> list[SweepRow]:
     rows = []
     for a in range(0, len(cfg.p_grid), step):
         b = min(a + step, len(cfg.p_grid))
-        laws, fitted = [], []
-        for point in range(a, b):
-            probs = measurement.probabilities(
-                states.check_state(states.family_state(cfg.p_grid[point], cfg.q)))
-            laws.append(probs[_DA_DA_ROW])
-            fitted.append(_fit_p(cfg, probs, point))
+        points = range(a, b)
+        probs = np.array([measurement.probabilities(states.check_state(
+            states.family_state(cfg.p_grid[point], cfg.q))) for point in points])
+        tomo_keys = [TOMO_FLAG | point for point in points]
+        fitted = [tomography.family_mle(tomography.TomoDataset(counts))[0] for counts in
+                  measurement.draw_counts_keyed(probs, cfg.n_shots, cfg.master_seed, tomo_keys)]
         table = _estimate_table(estimation.n_estimates(
-            _batch_counts(cfg, a, b, laws, mix_laws).reshape(b - a, m, 4)))
+            _batch_counts(cfg, a, b, probs[:, _DA_DA_ROW], mix_laws).reshape(b - a, m, 4)))
         means, sds = table.mean(axis=-1).T.tolist(), table.std(axis=-1, ddof=1).T.tolist()
         del table  # not held while the batch's rows are built
-        for j, point in enumerate(range(a, b)):
+        for j, point in enumerate(points):
             stats = [EstimatorStats(kind, variant, mean, sd, float(truth[kind][point]),
                                     float(nonopt[kind][point]), float(qcrb[kind][point]))
                      for (kind, variant), mean, sd in zip(_ESTIMATORS, means[j], sds[j])]

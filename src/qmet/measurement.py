@@ -159,11 +159,13 @@ def draw_count_rows(probs: np.ndarray, n: int, stream: RandomStream) -> np.ndarr
 
 def draw_counts_keyed(probs: np.ndarray, n: int, master_seed: int,
                       run_indices: Iterable[int]) -> np.ndarray:
-    """draw_counts on each keyed stream (master_seed, run_index), as one array.
+    """draw_count_rows on each keyed stream (master_seed, run_index), as one array.
 
-    probs is one row for every draw or one row per run index; each is
-    renormalized as draw_counts does. Row i of the (k, 4) int result equals
-    draw_counts(probs_i, n, RandomStream(master_seed, run_indices[i])).
+    probs is one row for every draw or one law per run index, laid out as in
+    streams.keyed_multinomials: a 2-D probs is one row per key, a (k, rows, 4)
+    probs one block per key. Each row is renormalized as draw_counts does.
+    Entry i of the (k,) + law-shaped int result equals
+    draw_count_rows(probs_i, n, RandomStream(master_seed, run_indices[i])).
     """
     _require_shots(n)
     return streams.keyed_multinomials(master_seed, run_indices, n,

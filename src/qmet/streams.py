@@ -5,11 +5,10 @@ Streams are Philox generators keyed by (master_seed, run_index), so any run
 in a sweep can be reproduced in isolation and results do not depend on the
 order in which runs execute. Philox is counter-based, so moving one generator
 to another stream is a state assignment: a batch of keyed draws costs one
-Philox build, then one re-key and one multinomial call per row.
+Philox build, then one re-key and one multinomial call per key.
 """
 from __future__ import annotations
 
-import itertools
 from typing import Iterable
 
 import numpy as np
@@ -51,13 +50,17 @@ class RandomStream:
 
 def keyed_multinomials(master_seed: int, run_indices: Iterable[int], n: int,
                        pvals: np.ndarray) -> np.ndarray:
-    """One Multinomial(n, pvals) draw per run index, as a (k, outcomes) array.
+    """One Multinomial(n, law) draw per run index, stacked along a first axis.
 
-    Row i equals RandomStream(master_seed, run_indices[i]).multinomial(n,
-    pvals_i) bit for bit. pvals is one row shared by every draw or a
-    (k, outcomes) array with one row per draw; any other row count raises.
+    Each key takes one law: a row of outcome probabilities, or a (rows,
+    outcomes) block whose rows its stream draws in order. Entry i equals
+    RandomStream(master_seed, run_indices[i]).multinomial(n, law_i) bit for
+    bit, and the result has shape (k,) + the law's shape. pvals is one row
+    shared by every key, or a stack of one law per key: a 2-D pvals is always
+    one row per key, a (k, rows, outcomes) pvals one block per key. A stack of
+    1 law is shared too; one of other than 1 or k laws raises.
 
-    One Philox is built per batch. Each row then costs one state assignment,
+    One Philox is built per batch. Each key then costs one state assignment,
     which moves it to the stream's fresh state (counter 0, empty buffer), and
     one multinomial call written into the output. The state holds Python ints,
     which the setter reads in about half the time NumPy arrays take: a row
@@ -65,8 +68,8 @@ def keyed_multinomials(master_seed: int, run_indices: Iterable[int], n: int,
     """
     keys = _key_words(master_seed, run_indices)
     pvals = np.asarray(pvals, dtype=float)
-    out = np.empty((len(keys), pvals.shape[-1]), dtype=np.int64)
-    laws = itertools.repeat(pvals) if pvals.ndim == 1 else np.broadcast_to(pvals, out.shape)
+    out = np.empty((len(keys),) + pvals.shape[pvals.ndim > 1:], dtype=np.int64)
+    laws = np.broadcast_to(pvals, out.shape)
     bitgen = np.random.Philox(key=0)
     gen = np.random.Generator(bitgen)
     state = {"counter": [0, 0, 0, 0], "key": (0, 0)}

@@ -25,9 +25,9 @@ family_mle fits the family's (p, q) to the counts by maximum likelihood, in
 closed form but for a 1-D root on the arc p = 1, with no eigensolve.
 
 Eigensolve budget per state (np.linalg.eigh / eigvalsh calls):
-simulate_tomography 1 (validating rho), draw_dataset 0, reconstruct_mle 1
-(the start) plus 1 per rank growth, reconstruct_linear 1, tomo_report 4, so
-a simulate -> MLE -> report pass makes 6 when the MLE does not grow its rank.
+simulate_tomography 1 (validating rho), reconstruct_mle 1 (the start) plus
+1 per rank growth, reconstruct_linear 1, tomo_report 4, so a
+simulate -> MLE -> report pass makes 6 when the MLE does not grow its rank.
 A reference state checked once with states.check_state and passed to both
 simulate_tomography and tomo_report saves one of them. Each reconstruction
 carries its physical state as a states.CheckedState, which the report reads
@@ -86,13 +86,7 @@ def simulate_tomography(rho: np.ndarray | states.CheckedState, n_per_setting: in
     the nine multinomial draws follow the settings order in one call, bit for
     bit the nine sequential draw_counts records.
     """
-    return draw_dataset(measurement.probabilities(rho), n_per_setting, stream)
-
-
-def draw_dataset(probs: np.ndarray, n_per_setting: int,
-                 stream: RandomStream) -> TomoDataset:
-    """simulate_tomography from a state's (9, 4) measurement.probabilities
-    table, for a caller that already holds it."""
+    probs = measurement.probabilities(rho)
     return TomoDataset(measurement.draw_count_rows(probs, n_per_setting, stream))
 
 

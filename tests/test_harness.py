@@ -351,15 +351,15 @@ class TestStddevScaling:
         assert scaled == pytest.approx(0.8, rel=0.25)
 
 
-def test_fit_p_makes_no_eigensolve(eigensolves):
-    # the fit draws from the point's probabilities table, and the family MLE
-    # is a closed form of the counts
+def test_sweep_fits_p_with_no_eigensolve_on_the_arc(eigensolves):
+    # the tomography draw reads each point's probabilities table, and the
+    # family MLE is a closed form of the counts, with a 1-D root on the arc
+    # p = 1 that the q = 0.3 fit of p = 1 reaches: one eigensolve per point,
+    # the check of its state
     cfg = small_config(q=0.3)
-    for point, p in enumerate(cfg.p_grid):
-        probs = measurement.probabilities(states.check_state(states.family_state(p, cfg.q)))
-        eigensolves.clear()
-        harness._fit_p(cfg, probs, point)
-        assert eigensolves == []
+    rows = harness.run_sweep(cfg)
+    assert rows[-1].p_fitted == 1.0
+    assert len(eigensolves) == len(cfg.p_grid)
 
 
 @pytest.mark.parametrize("mode, budget", [
@@ -374,13 +374,23 @@ def test_default_sweep_eigensolve_budget(eigensolves, mode, budget):
 
 
 @pytest.mark.parametrize("mode, builds", [
-    # the default grid is one batch: one keyed draw per slot, plus one
-    # tomography stream per point
-    (harness.DIRECT_STATE, 1 + 11),
-    (harness.POST_PROCESS_MIX, 3 + 11),
+    # the default grid is one batch: one keyed draw per slot, plus one for
+    # the tomography datasets
+    (harness.DIRECT_STATE, 1 + 1),
+    (harness.POST_PROCESS_MIX, 3 + 1),
 ])
 def test_default_sweep_philox_budget(philox_builds, mode, builds):
     harness.run_sweep(harness.build_config(mixing_mode=mode))
+    assert len(philox_builds) == builds
+
+
+@pytest.mark.parametrize("mode, builds", [
+    # M = 300 > ROWS makes each of the 3 points a batch of its own
+    (harness.DIRECT_STATE, 3 * (1 + 1)),
+    (harness.POST_PROCESS_MIX, 3 * (3 + 1)),
+])
+def test_one_point_batch_philox_budget(philox_builds, mode, builds):
+    harness.run_sweep(small_config(q=0.3, repetitions=300, mixing_mode=mode))
     assert len(philox_builds) == builds
 
 

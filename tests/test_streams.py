@@ -31,6 +31,19 @@ def test_keyed_multinomials_law_per_row(seed):
         np.testing.assert_array_equal(row, expected)
 
 
+@pytest.mark.parametrize("k", [0, 1, len(RUN_INDICES)])
+def test_keyed_multinomials_block_per_key(philox_builds, k):
+    # a (k, 9, 4) law is one (9, 4) block per key, drawn row by row on the
+    # key's stream as one multinomial call on a (9, 4) table draws it
+    blocks = RNG.dirichlet(np.ones(4), size=(k, 9))
+    rows = streams.keyed_multinomials(-5, RUN_INDICES[:k], 400, blocks)
+    assert len(philox_builds) == 1
+    assert rows.shape == (k, 9, 4)
+    for block_rows, block, index in zip(rows, blocks, RUN_INDICES):
+        expected = RandomStream(-5, index).multinomial(400, block)
+        np.testing.assert_array_equal(block_rows, expected)
+
+
 def test_keyed_multinomials_accepts_a_range_and_large_n():
     pvals = np.array([0.25, 0.25, 0.5, 0.0])
     indices = range(3, 3 + 8 * 50, 8)
