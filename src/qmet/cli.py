@@ -9,6 +9,7 @@ also the config file's master_seed), and otherwise the default 42.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -175,6 +176,7 @@ def _add_pq(sub) -> None:
                      help="pure-component balance in [0, 1] (default %(default)s)")
 
 
+@functools.cache  # built on first use; parsing leaves the parser as it was
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qmet",

@@ -7,7 +7,8 @@ All estimators act on the four joint-count record of a single DA x DA setting
   sqrt(3 - 2N - N^2) in negativity units;
 * optimal: the parity combination (+-) + (-+) - (++) - (--), with single-shot
   variance 1 - N^2 at every q. That saturates the quantum Cramer-Rao bound
-  QCRB_N(q) = 4q(1-q) - N^2 at q = 1/2 only; off q = 1/2 the bound is lower.
+  with q known, QCRB_N(q) = 4q(1-q) - N^2, at q = 1/2 only; off q = 1/2 that
+  bound is lower.
 
 Every measure is a function of N (states.MEASURES). An estimator is two
 steps: n_estimates computes both variants' N-scale estimates v from one set

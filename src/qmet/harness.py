@@ -35,7 +35,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import estimation, measurement, states, tomography
+from . import estimation, measurement, states, streams, tomography
 from .errors import ConfigError
 
 DIRECT_STATE = "DirectState"
@@ -101,7 +101,7 @@ class SweepConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
-        if not 1 <= self.n_shots <= measurement.MAX_SHOTS:
+        if not 1 <= self.n_shots <= streams.MAX_SHOTS:
             raise ConfigError(f"n_shots must lie in [1, 2**63 - 1], got {self.n_shots}")
         if self.repetitions < 2:
             raise ConfigError("repetitions must be >= 2 for a standard deviation")
@@ -223,8 +223,9 @@ def _batch_counts(cfg: SweepConfig, a: int, b: int, laws: np.ndarray,
     m = cfg.repetitions
 
     def draw(slot: int, law: np.ndarray) -> np.ndarray:
-        return measurement.draw_counts_keyed(law, cfg.n_shots, cfg.master_seed,
-                                             range(a * m * 8 + slot, b * m * 8 + slot, 8))
+        return streams.keyed_multinomials(cfg.master_seed,
+                                          range(a * m * 8 + slot, b * m * 8 + slot, 8),
+                                          cfg.n_shots, law)
 
     if mix_laws is None:
         return draw(SLOT_DIRECT, np.repeat(laws, m, axis=0))
@@ -280,7 +281,7 @@ def run_sweep(cfg: SweepConfig) -> list[SweepRow]:
             states.family_state(cfg.p_grid[point], cfg.q))) for point in points])
         tomo_keys = [TOMO_FLAG | point for point in points]
         fitted = [tomography.family_mle(tomography.TomoDataset(counts))[0] for counts in
-                  measurement.draw_counts_keyed(probs, cfg.n_shots, cfg.master_seed, tomo_keys)]
+                  streams.keyed_multinomials(cfg.master_seed, tomo_keys, cfg.n_shots, probs)]
         table = _estimate_table(estimation.n_estimates(
             _batch_counts(cfg, a, b, probs[:, _DA_DA_ROW], mix_laws).reshape(b - a, m, 4)))
         means, sds = table.mean(axis=-1).T.tolist(), table.std(axis=-1, ddof=1).T.tolist()

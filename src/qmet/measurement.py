@@ -4,19 +4,19 @@ A setting is a pair of single-qubit bases from {HV, DA, RL}, named by its
 "A,B" label (SETTINGS holds the nine, DA_DA the estimators' one); each setting
 has four joint projective outcomes ordered (++, +-, -+, --) where "+" is the
 first basis vector (H, D or R). A count record is one exact multinomial draw
-from a counter-based stream, so its cost does not depend on the shot count and
-a (master_seed, run_index) pair pins every record exactly.
+from a counter-based stream (streams.RandomStream.multinomial, which checks
+the shot count and renormalises the law), so its cost does not depend on the
+shot count and a (master_seed, run_index) pair pins every record exactly.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
-from . import matcore, states, streams
+from . import matcore, states
 from .errors import DomainError
-from .streams import RandomStream
+from .streams import MAX_SHOTS, RandomStream
 
 HV = "HV"
 DA = "DA"
@@ -33,7 +33,6 @@ _KETS = {
 }
 
 OUTCOME_LABELS = ("pp", "pm", "mp", "mm")
-MAX_SHOTS = 2 ** 63 - 1  # numpy's multinomial draws int64 counts
 
 
 def basis_kets(basis: str) -> tuple[np.ndarray, np.ndarray]:
@@ -130,52 +129,10 @@ def outcome_probabilities(rho: np.ndarray, setting: str) -> np.ndarray:
     return probabilities(rho)[_setting_row(setting)]
 
 
-def _normalised(probs: np.ndarray) -> np.ndarray:
-    """Probability rows (last axis) rescaled to sum to 1."""
-    probs = np.asarray(probs, dtype=float)
-    return probs / probs.sum(axis=-1, keepdims=True)
-
-
-def _require_shots(n: int) -> None:
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or not 1 <= n <= MAX_SHOTS:
-        raise DomainError(f"shot count must be an integer in [1, 2**63 - 1], got {n!r}")
-
-
-def draw_counts(probs: np.ndarray, n: int, stream: RandomStream) -> OutcomeCounts:
-    """One exact Multinomial(n, probs) count record; probs is renormalized."""
-    return OutcomeCounts(*(int(c) for c in draw_count_rows(probs, n, stream)))
-
-
-def draw_count_rows(probs: np.ndarray, n: int, stream: RandomStream) -> np.ndarray:
-    """draw_counts on each probability row (last axis) in turn, as one int array.
-
-    One multinomial call on one stream takes the rows in order, so row i
-    equals the i-th of sequential draw_counts calls bit for bit, and the
-    stream is left where those calls would leave it.
-    """
-    _require_shots(n)
-    return stream.multinomial(n, _normalised(probs))
-
-
-def draw_counts_keyed(probs: np.ndarray, n: int, master_seed: int,
-                      run_indices: Iterable[int]) -> np.ndarray:
-    """draw_count_rows on each keyed stream (master_seed, run_index), as one array.
-
-    probs is one row for every draw or one law per run index, laid out as in
-    streams.keyed_multinomials: a 2-D probs is one row per key, a (k, rows, 4)
-    probs one block per key. Each row is renormalized as draw_counts does.
-    Entry i of the (k,) + law-shaped int result equals
-    draw_count_rows(probs_i, n, RandomStream(master_seed, run_indices[i])).
-    """
-    _require_shots(n)
-    return streams.keyed_multinomials(master_seed, run_indices, n,
-                                      _normalised(probs))
-
-
 def sample_counts(rho: np.ndarray, setting: str, n: int,
                   stream: RandomStream) -> OutcomeCounts:
     """n multinomial shots of a setting on a state."""
-    return draw_counts(outcome_probabilities(rho, setting), n, stream)
+    return OutcomeCounts(*stream.multinomial(n, outcome_probabilities(rho, setting)).tolist())
 
 
 def mixture_law(counts_pure: np.ndarray, counts_mix: np.ndarray,
@@ -208,7 +165,7 @@ def mix_counts(counts_pure: OutcomeCounts, counts_mix: OutcomeCounts, p: float,
     mixed-state run.
     """
     law = mixture_law(counts_pure.as_array(), counts_mix.as_array(), p)
-    return draw_counts(law, counts_pure.n, stream)
+    return OutcomeCounts(*stream.multinomial(counts_pure.n, law).tolist())
 
 
 def counts_record(counts: OutcomeCounts, setting: str, seed: int) -> dict:

@@ -83,11 +83,12 @@ def simulate_tomography(rho: np.ndarray | states.CheckedState, n_per_setting: in
     """Sample every standard setting n_per_setting times, advancing one stream.
 
     rho is validated once, or not at all when it is a states.CheckedState;
-    the nine multinomial draws follow the settings order in one call, bit for
-    bit the nine sequential draw_counts records.
+    the nine multinomial draws follow the settings order in one
+    stream.multinomial call, bit for bit the nine sequential
+    measurement.sample_counts records of the settings.
     """
     probs = measurement.probabilities(rho)
-    return TomoDataset(measurement.draw_count_rows(probs, n_per_setting, stream))
+    return TomoDataset(stream.multinomial(n_per_setting, probs))
 
 
 class Reconstruction(NamedTuple):

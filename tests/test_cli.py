@@ -8,7 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qmet import cli, harness, states
+from qmet import cli, harness, states, tomography
+from qmet.streams import RandomStream
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 TOO_MANY_SHOTS = str(2 ** 63)
@@ -85,6 +86,56 @@ class TestSample:
         assert code == 0
         record = json.loads(out)
         assert sum(record[k] for k in ("n_pp", "n_pm", "n_mp", "n_mm")) == 2 ** 63 - 1
+
+
+# `qmet sample --p 0.6 --n 10000` counts (n_pp, n_pm, n_mp, n_mm) by seed, and
+# the (9, 4) counts `qmet tomo --p 0.6 --n-per-setting 2000 --seed 3`
+# reconstructs from; a change to any of them is a change of draws
+PINNED_SAMPLES = {
+    42: (992, 4020, 3987, 1001),
+    -7: (1020, 3999, 4004, 977),
+    -2 ** 63: (1058, 3977, 3986, 979),
+    2 ** 63 - 1: (1050, 4012, 3962, 976),
+}
+PINNED_TOMO_COUNTS = [
+    [0, 1041, 959, 0], [518, 503, 508, 471], [482, 471, 529, 518],
+    [487, 506, 524, 483], [219, 783, 809, 189], [514, 493, 501, 492],
+    [509, 513, 480, 498], [496, 495, 489, 520], [185, 808, 799, 208],
+]
+
+
+def test_cli_draws_are_pinned(capsys):
+    for seed, counts in PINNED_SAMPLES.items():
+        code, out = run_main(capsys, ["sample", "--p", "0.6", "--n", "10000",
+                                      "--seed", str(seed)])
+        assert code == 0
+        assert json.loads(out) == {"setting": "DA,DA", "n_pp": counts[0], "n_pm": counts[1],
+                                   "n_mp": counts[2], "n_mm": counts[3], "seed": seed}
+    rho = states.check_state(states.family_state(0.6, 0.5))
+    dataset = tomography.simulate_tomography(rho, 2000, RandomStream(3))
+    assert dataset.counts.tolist() == PINNED_TOMO_COUNTS
+
+
+def test_parser_is_built_once_and_reused(capsys):
+    assert cli.build_parser() is cli.build_parser()
+    sample = ["sample", "--p", "0.6", "--n", "500", "--seed", "-7"]
+    # an argparse failure (--n is required) first, then runs on the same parser
+    runs = [["sample", "--p", "0.5"], sample, ["sweep", "--print-config"], sample]
+
+    def run(argv):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        return code, capsys.readouterr()
+
+    cached = [run(argv) for argv in runs]
+    fresh = []
+    for argv in runs:
+        cli.build_parser.cache_clear()
+        fresh.append(run(argv))
+    assert cached == fresh
+    assert cached[0][0] == 2 and cached[1] == cached[3]
 
 
 @pytest.mark.parametrize("argv, code", [

@@ -5,7 +5,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from qmet import estimation, harness, measurement, states, tomography
+from qmet import estimation, harness, measurement, states, streams, tomography
 from qmet.errors import ConfigError
 from qmet.streams import RandomStream
 
@@ -420,13 +420,13 @@ def test_sweep_does_not_depend_on_the_batch_size(monkeypatch, mode):
     cfg = small_config(p_grid=(0.0, 0.2, 0.45, 0.8, 1.0), n_shots=300, repetitions=3,
                        master_seed=-11, mixing_mode=mode, q=0.3)
     sizes = []
-    original = measurement.draw_counts_keyed
+    original = streams.keyed_multinomials
 
-    def spied(probs, n, master_seed, run_indices):
+    def spied(master_seed, run_indices, n, pvals):
         sizes.append(len(run_indices))
-        return original(probs, n, master_seed, run_indices)
+        return original(master_seed, run_indices, n, pvals)
 
-    monkeypatch.setattr(measurement, "draw_counts_keyed", spied)
+    monkeypatch.setattr(streams, "keyed_multinomials", spied)
     texts = []
     for rows in (1, 7, 100):
         monkeypatch.setattr(harness, "ROWS", rows)

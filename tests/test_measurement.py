@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qmet import measurement as ms
-from qmet import states, tomography
+from qmet import states, streams, tomography
 from qmet.errors import DomainError
 from qmet.streams import RandomStream
 
@@ -267,15 +267,15 @@ def test_mix_counts_rejects_bad_inputs():
 
 # --- keyed batches ---------------------------------------------------------------------
 
-def test_draw_counts_keyed_rows_match_draw_counts():
+def test_keyed_rows_match_sample_counts():
     # one unnormalized law row for every draw, as the sweep passes it
-    probs = ms.outcome_probabilities(states.family_state(0.7, 0.3), ms.DA_DA)
-    probs = probs * (1.0 + 3e-12)
+    rho = states.family_state(0.7, 0.3)
+    probs = ms.outcome_probabilities(rho, ms.DA_DA) * (1.0 + 3e-12)
     indices = [(4 * 9 + rep) * 8 for rep in range(9)]
-    rows = ms.draw_counts_keyed(probs, 300, 5, indices)
+    rows = streams.keyed_multinomials(5, indices, 300, probs)
     assert rows.shape == (9, 4)
     for row, index in zip(rows, indices):
-        expected = ms.draw_counts(probs, 300, RandomStream(5, index))
+        expected = ms.sample_counts(rho, ms.DA_DA, 300, RandomStream(5, index))
         assert tuple(row) == expected.as_tuple()
 
 
@@ -283,16 +283,17 @@ def test_keyed_mixture_batch_matches_mix_counts():
     # the PostProcessMix path: pure and mix batches, then one select draw per
     # record with its own law row
     n, p = 400, 0.35
-    pure_probs = ms.outcome_probabilities(states.singlet(), ms.DA_DA)
-    mix_probs = ms.outcome_probabilities(states.dephased_mixture(), ms.DA_DA)
+    pure_state, mix_state = states.singlet(), states.dephased_mixture()
     reps = range(12)
-    pure = ms.draw_counts_keyed(pure_probs, n, 8, [4 * r + 1 for r in reps])
-    mix = ms.draw_counts_keyed(mix_probs, n, 8, [4 * r + 2 for r in reps])
+    pure = streams.keyed_multinomials(8, [4 * r + 1 for r in reps], n,
+                                      ms.outcome_probabilities(pure_state, ms.DA_DA))
+    mix = streams.keyed_multinomials(8, [4 * r + 2 for r in reps], n,
+                                     ms.outcome_probabilities(mix_state, ms.DA_DA))
     law = ms.mixture_law(pure, mix, p)
-    mixed = ms.draw_counts_keyed(law, n, 8, [4 * r + 3 for r in reps])
+    mixed = streams.keyed_multinomials(8, [4 * r + 3 for r in reps], n, law)
     for r in reps:
-        cp = ms.draw_counts(pure_probs, n, RandomStream(8, 4 * r + 1))
-        cm = ms.draw_counts(mix_probs, n, RandomStream(8, 4 * r + 2))
+        cp = ms.sample_counts(pure_state, ms.DA_DA, n, RandomStream(8, 4 * r + 1))
+        cm = ms.sample_counts(mix_state, ms.DA_DA, n, RandomStream(8, 4 * r + 2))
         assert tuple(pure[r]) == cp.as_tuple() and tuple(mix[r]) == cm.as_tuple()
         expected = ms.mix_counts(cp, cm, p, RandomStream(8, 4 * r + 3))
         assert tuple(mixed[r]) == expected.as_tuple()
@@ -300,7 +301,7 @@ def test_keyed_mixture_batch_matches_mix_counts():
 
 def test_keyed_batch_rejects_bad_inputs():
     with pytest.raises(DomainError):
-        ms.draw_counts_keyed(np.full(4, 0.25), 0, 1, [0, 1])
+        streams.keyed_multinomials(1, [0, 1], 0, np.full(4, 0.25))
     pure = np.array([[0, 5, 5, 0], [1, 1, 1, 1]])
     with pytest.raises(DomainError):
         ms.mixture_law(pure, np.array([[1, 1, 1, 1], [0, 0, 0, 0]]), 0.5)

@@ -62,8 +62,7 @@ def test_simulate_is_nine_sequential_draws(p, q, n, seed):
     stream = RandomStream(seed, 5)
     ds = tomography.simulate_tomography(rho, n, stream)
     reference = RandomStream(seed, 5)
-    rows = [measurement.draw_counts(measurement.outcome_probabilities(rho, s),
-                                    n, reference).as_array()
+    rows = [measurement.sample_counts(rho, s, n, reference).as_array()
             for s in measurement.SETTINGS]
     np.testing.assert_array_equal(ds.counts, np.array(rows))
     assert stream.random(2).tolist() == reference.random(2).tolist()

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from qmet import streams
+from qmet import measurement, states, streams
+from qmet.errors import DomainError
 from qmet.streams import RandomStream
 
 RNG = np.random.default_rng(52177)
@@ -61,13 +62,18 @@ def test_keyed_multinomials_empty_batch():
 
 
 def test_stream_key_is_the_shared_keying_rule():
-    keys = streams.philox_keys(-3, [5, 1 << 63])
-    assert keys.dtype == np.uint64
-    np.testing.assert_array_equal(
-        keys, [[(1 << 64) - 3, 5], [(1 << 64) - 3, 1 << 63]])
-    a = RandomStream(-3, 1 << 63).random(4)
-    b = np.random.Generator(np.random.Philox(key=keys[1])).random(4)
-    np.testing.assert_array_equal(a, b)
+    # oracle: the Philox keyed [seed mod 2^64, index], built directly
+    pvals = np.array([0.1, 0.2, 0.3, 0.4])
+    for seed in (-3, 0, -(1 << 63), (1 << 63) - 1, (1 << 64) + 9):
+        for index in RUN_INDICES:
+            key = np.array([seed % (1 << 64), index], dtype=np.uint64)
+            oracle = np.random.Generator(np.random.Philox(key=key))
+            np.testing.assert_array_equal(RandomStream(seed, index).random(4),
+                                          oracle.random(4))
+            oracle = np.random.Generator(np.random.Philox(key=key))
+            np.testing.assert_array_equal(
+                streams.keyed_multinomials(seed, [index], 500, pvals)[0],
+                oracle.multinomial(500, pvals))
 
 
 def test_keyed_multinomials_law_rows_must_match_the_run_indices():
@@ -99,3 +105,29 @@ def test_keyed_multinomials_numpy_integer_inputs(seed, indices):
 def test_keyed_multinomials_builds_one_philox_per_batch(philox_builds, k):
     streams.keyed_multinomials(4, range(k), 100, np.full(4, 0.25))
     assert len(philox_builds) == 1
+
+
+@pytest.mark.parametrize("n", [0, 2 ** 63, 10.5, np.float64(10), True, "10"], ids=repr)
+def test_draws_reject_a_shot_count_that_is_not_an_integer_in_range(n):
+    pvals = np.full(4, 0.25)
+    with pytest.raises(DomainError):
+        RandomStream(1).multinomial(n, pvals)
+    with pytest.raises(DomainError):
+        streams.keyed_multinomials(1, [0, 1], n, pvals)
+
+
+@pytest.mark.parametrize("rho", [states.singlet(), states.family_state(0.7, 0.3)],
+                         ids=["singlet", "p0.7-q0.3"])
+def test_draws_renormalise_the_law(rho):
+    # the singlet's zero last entries make NumPy reject an unnormalised
+    # scaled row, whose first three entries sum past 1 + 1e-12
+    table = measurement.probabilities(rho)
+    law = table / table.sum(axis=1, keepdims=True)
+    scaled = law * (1.0 + 3e-12)
+    np.testing.assert_array_equal(RandomStream(9, 4).multinomial(1000, scaled),
+                                  RandomStream(9, 4).multinomial(1000, law))
+    for pvals, normalised in ((scaled[0], law[0]), (scaled[:3], law[:3]),
+                              (np.stack([scaled] * 3), np.stack([law] * 3))):
+        np.testing.assert_array_equal(
+            streams.keyed_multinomials(9, RUN_INDICES[:3], 1000, pvals),
+            streams.keyed_multinomials(9, RUN_INDICES[:3], 1000, normalised))

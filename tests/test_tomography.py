@@ -209,7 +209,7 @@ class TestLinearInversion:
             shots = [500] * 9 if totals == "equal" else range(100, 1000, 100)
             stream = RandomStream(21)
             ds = tomography.TomoDataset([
-                measurement.draw_count_rows(probs, n, stream)
+                stream.multinomial(n, probs)
                 for probs, n in zip(measurement.probabilities(rho), shots)])
         freqs = (ds.counts / ds.n_per_setting[:, None]).ravel()
         vec, *_ = np.linalg.lstsq(ROWS.conj(), freqs.astype(complex), rcond=None)
