@@ -72,17 +72,26 @@ def cmd_probe(args) -> int:
     return 0
 
 
-def cmd_sample(args) -> int:
+def _draw_da_da(args) -> tuple[measurement.OutcomeCounts, int]:
+    """The DA,DA record of --n shots on rho(--p, --q) at --seed, and the seed."""
     seed = _seed(args.seed)
     rho = states.family_state(args.p, args.q)
-    counts = measurement.sample_counts(rho, measurement.DA_DA, args.n,
-                                       RandomStream(seed))
+    return measurement.sample_counts(rho, measurement.DA_DA, args.n, RandomStream(seed)), seed
+
+
+def cmd_sample(args) -> int:
+    counts, seed = _draw_da_da(args)
     _print(measurement.counts_record(counts, measurement.DA_DA, seed))
     return 0
 
 
 def cmd_estimate(args) -> int:
     if args.counts is not None:
+        # --q stays: it sets the q of the curves
+        mixed = [name for name, value in
+                 (("--p", args.p), ("--n", args.n), ("--seed", args.seed)) if value is not None]
+        if mixed:
+            raise ConfigError(f"--counts excludes {', '.join(mixed)}")
         with open(args.counts, "rb") as fh:
             data = fh.read()
         try:
@@ -97,10 +106,7 @@ def cmd_estimate(args) -> int:
                    (("--p", args.p), ("--n", args.n)) if value is None]
         if missing:
             raise ConfigError(f"estimate needs --counts or {' and '.join(missing)}")
-        seed = _seed(args.seed)
-        rho = states.family_state(args.p, args.q)
-        counts = measurement.sample_counts(rho, measurement.DA_DA, args.n,
-                                           RandomStream(seed))
+        counts = _draw_da_da(args)[0]
     result = estimation.estimate(args.kind, args.variant, counts, q=args.q)
     _print(result.to_record())
     return 0

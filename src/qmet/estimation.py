@@ -15,9 +15,10 @@ steps: n_estimates computes both variants' N-scale estimates v from one set
 of frequencies, and measure_estimates returns from_n(v) of the kind's row,
 with the log-negativity floor. estimator_values and estimate are their
 composition, and a sweep calls n_estimates once and measure_estimates once
-per kind on a whole batch of records. Each uncertainty curve is the N-scale
-curve times |dfrom_n(N)|, its exact delta-method image, and every curve and
-estimate reaches N through the same _to_n.
+per kind on a whole batch of records. theory is the one place the curves are
+carried to each measure: at negativities N it returns from_n(N) and each
+single-shot N-scale curve times |dfrom_n(N)|, its exact delta-method image.
+The curves of measure values read it at the N that _to_n returns.
 
 The numeric Fisher information checks that bound on the exact tangent of
 rho along N, a constant since rho is affine in p, carried by the same factor.
@@ -29,7 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -43,8 +44,7 @@ VARIANTS = (NONOPTIMAL, OPTIMAL)
 LOG_CLAMP = 2.0 ** -20  # floor for log arguments that statistical noise pushed to <= 0
 
 
-@dataclass
-class EstimateResult:
+class EstimateResult(NamedTuple):
     """One estimate from one count record.
 
     value is the raw (unclamped) estimator output; value_clamped is its
@@ -62,10 +62,6 @@ class EstimateResult:
     theory_unc_single_shot: float
     qcrb_unc_single_shot: float
     clamped: bool
-
-    def __post_init__(self):
-        if self.qcrb_unc_single_shot > self.theory_unc_single_shot + 1e-12:
-            raise DomainError("QCRB uncertainty exceeds the estimator theory uncertainty")
 
     def to_record(self) -> dict:
         return {
@@ -95,8 +91,7 @@ def _reach(q: float) -> float:
 
 
 def _to_n(kind: str, value, q: float = 0.5):
-    """N of measure values inside the kind's range and within reach at q, and
-    the delta-method scale |dfrom_n(N)| that carries N-scale curves to them."""
+    """N of measure values inside the kind's range and within reach at q."""
     row, value = _row(kind), np.asarray(value)
     lo, hi = row.range
     if not (lo <= value.min() and value.max() <= hi):
@@ -107,8 +102,7 @@ def _to_n(kind: str, value, q: float = 0.5):
     # to_n(from_n(reach)) can land an ulp off the reach, and the bound's
     # square root turns that ulp into ~1e-8: a value at the top within
     # round-off is the reach itself ([()] keeps scalars scalar)
-    n = np.where(value >= top * (1.0 - 1e-15), _reach(q), row.to_n(value))[()]
-    return n, np.abs(row.dfrom_n(n))
+    return np.where(value >= top * (1.0 - 1e-15), _reach(q), row.to_n(value))[()]
 
 
 def _qcrb_n(n, q: float):
@@ -123,30 +117,31 @@ def _qcrb_n(n, q: float):
     return np.maximum(0.0, (s - n) * (s + n))
 
 
-def _sd_n(variant: str, n):
-    """Single-shot standard deviation of an estimator on the N scale; both
-    estimators are unbiased for N at every q, so neither depends on q."""
-    if variant == NONOPTIMAL:
-        return np.sqrt(3.0 - 2.0 * n - n * n)
-    return np.sqrt(1.0 - n * n)
+def theory(kind: str, n, q: float = 0.5):
+    """(value, non-optimal sd, optimal sd, QCRB sd) of a kind at negativities
+    n in [0, 2 sqrt(q(1-q))]: from_n(N), and the single-shot N-scale curves
+    times |dfrom_n(N)|. Both estimators are unbiased for N at every q, with sd
+    sqrt(3 - 2N - N^2) and sqrt(1 - N^2), so only the QCRB depends on q."""
+    row = _row(kind)
+    scale = np.abs(row.dfrom_n(n))
+    return (row.from_n(n), np.sqrt(3.0 - 2.0 * n - n * n) * scale,
+            np.sqrt(1.0 - n * n) * scale, np.sqrt(_qcrb_n(n, q)) * scale)
 
 
 def qcrb_curves(kind: str, value, q: float = 0.5):
     """Single-shot quantum Cramer-Rao variance bound at measure values and q."""
-    n, scale = _to_n(kind, value, q)
-    return _qcrb_n(n, q) * scale ** 2
+    n = _to_n(kind, value, q)
+    return _qcrb_n(n, q) * np.abs(_row(kind).dfrom_n(n)) ** 2
 
 
 def nonopt_unc_curves(kind: str, value):
     """Single-shot uncertainty of the non-optimal estimator at measure values."""
-    n, scale = _to_n(kind, value)
-    return _sd_n(NONOPTIMAL, n) * scale
+    return theory(kind, _to_n(kind, value))[1]
 
 
 def qcrb_unc(kind: str, value, q: float = 0.5):
     """sqrt of the QCRB variance at measure values and q."""
-    n, scale = _to_n(kind, value, q)
-    return np.sqrt(_qcrb_n(n, q)) * scale
+    return theory(kind, _to_n(kind, value, q), q)[3]
 
 
 def clip_to_range(kind: str, values):
@@ -203,15 +198,16 @@ def estimate(kind: str, variant: str, counts: measurement.OutcomeCounts,
     raw, floored = estimator_values(kind, variant, counts.as_array())
     value = float(raw)
     value_clamped = float(clip_to_range(kind, value))
-    n, scale = _to_n(kind, min(value_clamped, _row(kind).from_n(_reach(q))), q)
+    n = _to_n(kind, min(value_clamped, _row(kind).from_n(_reach(q))), q)
+    _, nonopt, opt, qcrb = theory(kind, n, q)
     return EstimateResult(
         kind=kind,
         variant=variant,
         value=value,
         value_clamped=value_clamped,
         n_shots=counts.n,
-        theory_unc_single_shot=float(_sd_n(variant, n) * scale),
-        qcrb_unc_single_shot=float(np.sqrt(_qcrb_n(n, q)) * scale),
+        theory_unc_single_shot=float(opt if variant == OPTIMAL else nonopt),
+        qcrb_unc_single_shot=float(qcrb),
         clamped=bool(floored or value_clamped != value),
     )
 
@@ -235,8 +231,9 @@ def measure_path(kind: str, q: float = 0.5) -> MeasurePath:
     tangent = (states.family_state(1.0, q) - states.family_state(0.0, q)) / s
 
     def path(theta: float) -> tuple[np.ndarray, np.ndarray, float]:
-        n, scale = _to_n(kind, theta, q)
-        return states.family_state(min(n / s, 1.0), q), tangent, float(scale)
+        n = _to_n(kind, theta, q)
+        return (states.family_state(min(n / s, 1.0), q), tangent,
+                float(np.abs(states.MEASURES[kind].dfrom_n(n))))
 
     return path
 

@@ -262,9 +262,9 @@ def run_sweep(cfg: SweepConfig) -> list[SweepRow]:
     and dephased laws, the same at every point.
     """
     n = states.negativity_closed(np.array(cfg.p_grid), cfg.q)
-    truth = {kind: states.MEASURES[kind].from_n(n) for kind in SWEEP_KINDS}
-    nonopt = {kind: estimation.nonopt_unc_curves(kind, v) for kind, v in truth.items()}
-    qcrb = {kind: estimation.qcrb_unc(kind, v, cfg.q) for kind, v in truth.items()}
+    # per kind and point: theory_value, unc_nonopt and unc_qcrb
+    curves = {kind: np.stack(estimation.theory(kind, n, cfg.q))[[0, 1, 3]].T.tolist()
+              for kind in SWEEP_KINDS}
     mix_laws = None
     if cfg.mixing_mode == POST_PROCESS_MIX:
         mix_laws = (measurement.outcome_probabilities(states.family_state(1.0, cfg.q),
@@ -287,8 +287,7 @@ def run_sweep(cfg: SweepConfig) -> list[SweepRow]:
         means, sds = table.mean(axis=-1).T.tolist(), table.std(axis=-1, ddof=1).T.tolist()
         del table  # not held while the batch's rows are built
         for j, point in enumerate(points):
-            stats = [EstimatorStats(kind, variant, mean, sd, float(truth[kind][point]),
-                                    float(nonopt[kind][point]), float(qcrb[kind][point]))
+            stats = [EstimatorStats(kind, variant, mean, sd, *curves[kind][point])
                      for (kind, variant), mean, sd in zip(_ESTIMATORS, means[j], sds[j])]
             rows.append(SweepRow(p_true=float(cfg.p_grid[point]), p_fitted=fitted[j],
                                  stats=stats))
@@ -368,9 +367,8 @@ def svg_text(rows: list[SweepRow], cfg: SweepConfig, kind: str,
     means = np.array([st.mean for _, st in picked])
     errs = np.array([st.stddev for _, st in picked])
 
-    value = states.MEASURES[kind].from_n(states.negativity_closed(_CURVE_P, cfg.q))
-    half_n = estimation.nonopt_unc_curves(kind, value)
-    half_q = estimation.qcrb_unc(kind, value, cfg.q)
+    value, half_n, _, half_q = estimation.theory(
+        kind, states.negativity_closed(_CURVE_P, cfg.q), cfg.q)
     root_n = np.sqrt(cfg.n_shots)
     env_n_lo, env_n_hi = value - half_n / root_n, value + half_n / root_n
     env_q_lo, env_q_hi = value - half_q / root_n, value + half_q / root_n

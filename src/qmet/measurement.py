@@ -93,7 +93,8 @@ class OutcomeCounts:
 
     def __post_init__(self):
         for label, v in zip(OUTCOME_LABELS, self.as_tuple()):
-            if v < 0 or int(v) != v:
+            # NaN fails 0 <= v; an int past float range still compares to inf
+            if isinstance(v, (bool, np.bool_)) or not 0 <= v < np.inf or int(v) != v:
                 raise DomainError(f"count n_{label}={v!r} is not a non-negative integer")
         if self.n > MAX_SHOTS:
             raise DomainError(f"count total {self.n} exceeds 2**63 - 1 shots")

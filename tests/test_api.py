@@ -33,8 +33,8 @@ def test_only_records_that_check_their_fields_are_dataclasses():
                     and dataclasses.is_dataclass(obj)):
                 found.append(name)
                 assert "__post_init__" in vars(obj), name
-    assert sorted(found) == ["EstimateResult", "FisherReport", "OutcomeCounts",
-                             "SweepConfig", "TomoDataset"]
+    assert sorted(found) == ["FisherReport", "OutcomeCounts", "SweepConfig",
+                             "TomoDataset"]
 
 
 def test_value_records_keep_their_fields():

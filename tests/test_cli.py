@@ -211,6 +211,21 @@ class TestEstimate:
         assert cli.main(["estimate", "--kind", "negativity",
                          "--variant", "optimal"]) == 2
 
+    @pytest.mark.parametrize("extra", [
+        ["--p", "0.1"], ["--n", "5"], ["--seed", "3"],
+        ["--p", "0.1", "--n", "5", "--seed", "3"],
+    ])
+    def test_counts_with_draw_flags_is_config_error(self, capsys, tmp_path, extra):
+        # a draw flag has no meaning for a counts file: it is refused, not ignored
+        path = tmp_path / "counts.json"
+        path.write_text('{"n_pp": 10, "n_pm": 40, "n_mp": 40, "n_mm": 10}')
+        code = cli.main(["estimate", "--kind", "negativity", "--variant", "optimal",
+                         "--counts", str(path), *extra])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("config error:")
+        assert "Traceback" not in captured.err
+
     def test_missing_counts_file_is_config_error(self, capsys):
         assert cli.main(["estimate", "--kind", "negativity", "--variant",
                          "optimal", "--counts", "/nonexistent.json"]) == 2

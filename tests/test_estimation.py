@@ -166,6 +166,39 @@ def test_log_and_qgd_curves_are_delta_method_images():
             est.nonopt_unc_curves(states.NEGATIVITY, n) * n, abs=1e-9)
 
 
+THEORY_QS = (0.0, 0.2, 0.3, 0.5, 0.7, 1.0)
+
+
+@pytest.mark.parametrize("kind", states.MEASURE_KINDS)
+@pytest.mark.parametrize("q", THEORY_QS)
+def test_theory_matches_the_curves_of_measure_values(kind, q):
+    n = np.linspace(0.0, est._reach(q), 201)
+    value, nonopt, _, qcrb = est.theory(kind, n, q)
+    truth = states.MEASURES[kind].from_n(n)
+    np.testing.assert_allclose(value, truth, rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(nonopt, est.nonopt_unc_curves(kind, truth), rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(qcrb, est.qcrb_unc(kind, truth, q), rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("kind", states.MEASURE_KINDS)
+@pytest.mark.parametrize("q", THEORY_QS)
+def test_theory_orders_the_three_curves(kind, q):
+    # with s = 2 sqrt(q(1-q)) <= 1 and 0 <= N <= s,
+    # s^2 - N^2 <= 1 - N^2 <= 3 - 2N - N^2; at q = 1/2 the QCRB, written as
+    # (s - N)(s + N), may round above the optimal sd by a few ulps
+    _, nonopt, opt, qcrb = est.theory(kind, np.linspace(0.0, est._reach(q), 201), q)
+    assert np.all(qcrb <= opt + 1e-12)
+    assert np.all(opt <= nonopt)
+
+
+def test_estimate_result_is_a_value_record():
+    r = est.estimate(N, OPT, counts(100, 400, 400, 100))
+    assert isinstance(r, tuple)
+    assert est.EstimateResult._fields == (
+        "kind", "variant", "value", "value_clamped", "n_shots",
+        "theory_unc_single_shot", "qcrb_unc_single_shot", "clamped")
+
+
 def test_qcrb_never_exceeds_theory_uncertainty():
     for r in range(30):
         p = float(r) / 29.0

@@ -268,6 +268,54 @@ def test_default_sweep_is_frozen(mode):
     assert svg_digests == DEFAULT_SVG_DIGESTS[mode]
 
 
+# SHA-256 of the CSV and six SVGs off q = 1/2, where the quantum bound's
+# curve is not the optimal estimator's: q = 0.3, whose fit of p = 1 reaches
+# the arc, and q = 0.7 in PostProcessMix
+OFF_HALF_DIGESTS = {
+    (0.3, harness.DIRECT_STATE): (
+        "a496f722d46ba33457b80abeca2196960fb1b5ca7aaab4f05e57a38e28319fa0", {
+            ("negativity", "nonoptimal"):
+                "f27213deb9dfb039ae060f13d6d523aa5ae27bc792ba559339c78835b223dc33",
+            ("negativity", "optimal"):
+                "1ecd1aeef897de1a0586fe4f04a0f92e35e4d00c2248ded834806a56e36dae98",
+            ("log_negativity", "nonoptimal"):
+                "c465ddeb85044ae7ac7b2c6349b76ed19323854d54937b580109c1794536d591",
+            ("log_negativity", "optimal"):
+                "8c85c5bc22445f41ac2b616343047d3466b355ff6bb55dd45355d69cfd6eddf0",
+            ("qgd", "nonoptimal"):
+                "2231fe14a1cb4d64dbfd5571fae3cbdce649a76612f7d26251e2033ff587942d",
+            ("qgd", "optimal"):
+                "a100313c872473f02a6a42eb4514ecf8fbbc2f2be91ad6959f884f513115e679",
+        }),
+    (0.7, harness.POST_PROCESS_MIX): (
+        "cb447cdbef3a3c1ef90c62063f0a2bca4f754b569feb06c6e3d5a543338b392e", {
+            ("negativity", "nonoptimal"):
+                "10aa2a60df9f6d825cfff1acea5f1973429a592581688f425b6ba7af063a06c4",
+            ("negativity", "optimal"):
+                "547d717102c69a9574c7dfc0fd4951bb98e11480cbd8ffa3fe29f433cffbbe84",
+            ("log_negativity", "nonoptimal"):
+                "173e72b4583d97eebd1961c71a94eb26cf7ae09bcb6b456ded8e1ce4490e0a0c",
+            ("log_negativity", "optimal"):
+                "0cf130304b2cb782d85746dbfba6728e8652ed7bae2117d5ee3bd6221abe4a64",
+            ("qgd", "nonoptimal"):
+                "42eb8a684a0f0640548c5979ceef611a64b686c1078af6c79cb873755bdf47b5",
+            ("qgd", "optimal"):
+                "7e96325ed72c771aa7e55c27e633b6f9c2d09c4df583ec5cfb7724f86d9b8e64",
+        }),
+}
+
+
+@pytest.mark.parametrize("q, mode", sorted(OFF_HALF_DIGESTS))
+def test_sweep_off_half_is_frozen(q, mode):
+    cfg = harness.build_config(q=q, mixing_mode=mode)
+    rows = harness.run_sweep(cfg)
+    csv_digest, svg_digests = OFF_HALF_DIGESTS[q, mode]
+    assert hashlib.sha256(harness.csv_text(rows, cfg).encode()).hexdigest() == csv_digest
+    assert {(kind, variant): hashlib.sha256(
+                harness.svg_text(rows, cfg, kind, variant).encode("ascii")).hexdigest()
+            for kind, variant in svg_digests} == svg_digests
+
+
 class TestEmission:
     def test_csv_header_and_shape(self, sweep):
         rows, cfg = sweep
@@ -411,6 +459,23 @@ def test_default_sweep_probabilities_budget(monkeypatch, mode, budget):
     monkeypatch.setattr(measurement, "probabilities", counted)
     harness.run_sweep(harness.build_config(mixing_mode=mode))
     assert len(calls) == budget
+
+
+@pytest.mark.parametrize("mode", harness.MIXING_MODES)
+def test_default_sweep_reads_its_curves_at_n(monkeypatch, tmp_path, mode):
+    # the sweep and its six panels know the exact N of every point, so no
+    # curve value goes back through the range-checked measure -> N map
+    calls = []
+    original = estimation._to_n
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(estimation, "_to_n", counted)
+    cfg = harness.build_config(mixing_mode=mode)
+    harness.emit_all(harness.run_sweep(cfg), cfg, tmp_path)
+    assert calls == []
 
 
 @pytest.mark.parametrize("mode", harness.MIXING_MODES)

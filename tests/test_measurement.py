@@ -190,6 +190,16 @@ def test_outcome_counts_validation():
             ms.OutcomeCounts(*total)
 
 
+@pytest.mark.parametrize("bad", [
+    float("nan"), np.nan, float("inf"), -np.inf, True, np.True_,
+    # an integer past float range: its total exceeds the shot limit
+    10 ** 400,
+])
+def test_outcome_counts_reject_non_finite_and_bool_counts(bad):
+    with pytest.raises(DomainError):
+        ms.OutcomeCounts(1, bad, 1, 1)
+
+
 # --- mixing -------------------------------------------------------------------------
 
 def test_mix_counts_preserves_total_and_determinism():
