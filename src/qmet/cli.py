@@ -4,7 +4,7 @@ tomography and Fisher-information reports.
 Exit codes: 0 success, 2 configuration error (including an input file or
 output directory the OS cannot open), 3 numeric or domain error.
 All randomness derives from --seed, an integer in [-2**63, 2**63) (for sweep,
-also the config file's master_seed), and otherwise the default 42.
+also the config file's master_seed), and otherwise SweepConfig's default 42.
 """
 from __future__ import annotations
 
@@ -20,11 +20,9 @@ from . import estimation, harness, measurement, states, tomography
 from .errors import ConfigError, DomainError
 from .streams import RandomStream
 
-DEFAULT_SEED = 42
-
-
 def _seed(value: int | None) -> int:
-    return harness.check_seed(DEFAULT_SEED if value is None else value)
+    """--seed, or else the sweep's default master seed."""
+    return harness.check_seed(harness.SweepConfig.master_seed if value is None else value)
 
 
 def _matrix_lines(rho: np.ndarray) -> list[str]:
@@ -203,7 +201,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_pq(sub)
     sub.add_argument("--n", type=int, required=True, help="number of shots")
     sub.add_argument("--seed", type=int, default=None,
-                     help="stream seed in [-2**63, 2**63) (default 42)")
+                     help="stream seed in [-2**63, 2**63) "
+                          f"(default {harness.SweepConfig.master_seed})")
     sub.set_defaults(func=cmd_sample)
 
     sub = subs.add_parser("estimate", help="run one estimator on counts")

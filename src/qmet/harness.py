@@ -70,17 +70,26 @@ _DA_DA_ROW = measurement.SETTINGS.index(measurement.DA_DA)
 _DEFAULT_GRID = tuple(round(0.1 * k, 10) for k in range(11))
 
 
+def _number(name: str, value, kind: type, low, high, span: str):
+    """kind(value), if value is an int or float (NumPy's too, a bool not) of
+    that kind lying in [low, high], which NaN fails."""
+    types = (int, np.integer) if kind is int else (int, float, np.integer, np.floating)
+    if isinstance(value, bool) or not isinstance(value, types) or not low <= value <= high:
+        noun = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{name} must be {noun} in {span}, got {value!r}")
+    return kind(value)
+
+
 def check_seed(seed: int) -> int:
-    """seed, if it is an integer in [-2**63, 2**63), not a bool; streams key a
+    """seed as an int, if it is an integer in [-2**63, 2**63); streams key a
     seed mod 2**64, so a wider range would alias seeds silently."""
-    if isinstance(seed, bool) or not isinstance(seed, int) or not -2 ** 63 <= seed < 2 ** 63:
-        raise ConfigError(f"seed must be an integer in [-2**63, 2**63), got {seed!r}")
-    return seed
+    return _number("seed", seed, int, -2 ** 63, 2 ** 63 - 1, "[-2**63, 2**63)")
 
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """Sweep parameters, checked when built; defaults give the reference figures."""
+    """Sweep parameters, checked when built and stored as Python floats and
+    ints; defaults give the reference figures."""
 
     q: float = 0.5
     p_grid: tuple[float, ...] = _DEFAULT_GRID
@@ -90,26 +99,24 @@ class SweepConfig:
     mixing_mode: str = DIRECT_STATE
 
     def __post_init__(self):
-        if not 0.0 <= self.q <= 1.0:
-            raise ConfigError(f"q must lie in [0, 1], got {self.q}")
         if len(self.p_grid) == 0:
             raise ConfigError("p_grid is empty")
-        for p in self.p_grid:
-            if not 0.0 <= p <= 1.0:
-                raise ConfigError(f"grid value {p} outside [0, 1]")
-        for name in ("n_shots", "repetitions"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
-        if not 1 <= self.n_shots <= streams.MAX_SHOTS:
-            raise ConfigError(f"n_shots must lie in [1, 2**63 - 1], got {self.n_shots}")
-        if self.repetitions < 2:
-            raise ConfigError("repetitions must be >= 2 for a standard deviation")
-        # int(): a NumPy integer product would wrap past 2**63
-        if len(self.p_grid) * int(self.repetitions) * 8 > TOMO_FLAG:
-            raise ConfigError(f"{len(self.p_grid)} grid points x {self.repetitions} repetitions"
-                              " x 8 run indices exceed 2**62, the first tomography stream")
-        check_seed(self.master_seed)
+        # a standard deviation needs two repetitions, and the run indices
+        # (point*M + rep)*8 + slot must stay below TOMO_FLAG, the first
+        # tomography stream
+        max_reps = TOMO_FLAG // (8 * len(self.p_grid))
+        checked = {
+            "q": _number("q", self.q, float, 0, 1, "[0, 1]"),
+            "p_grid": tuple(_number("grid value", p, float, 0, 1, "[0, 1]")
+                            for p in self.p_grid),
+            "n_shots": _number("n_shots", self.n_shots, int, 1, streams.MAX_SHOTS,
+                               "[1, 2**63 - 1]"),
+            "repetitions": _number("repetitions", self.repetitions, int, 2, max_reps,
+                                   f"[2, {max_reps}] for {len(self.p_grid)} grid points"),
+            "master_seed": check_seed(self.master_seed),
+        }
+        for name, value in checked.items():
+            object.__setattr__(self, name, value)
         if self.mixing_mode not in MIXING_MODES:
             raise ConfigError(f"mixing_mode must be one of {MIXING_MODES}, "
                               f"got {self.mixing_mode!r}")
@@ -127,13 +134,6 @@ class SweepConfig:
         )
 
 
-def _parse_int(value: str) -> int:
-    try:
-        return int(value, 0)
-    except ValueError as exc:
-        raise ValueError(f"not an integer: {value!r}") from exc
-
-
 def parse_grid(value: str) -> tuple[float, ...]:
     chunks = value.strip().strip("[]").split(",")
     if len(chunks) > 1 and not all(chunk.strip() for chunk in chunks):
@@ -148,9 +148,9 @@ def parse_grid(value: str) -> tuple[float, ...]:
 _FIELD_PARSERS = {
     "q": float,
     "p_grid": parse_grid,
-    "n_shots": _parse_int,
-    "repetitions": _parse_int,
-    "master_seed": _parse_int,
+    "n_shots": int,
+    "repetitions": int,
+    "master_seed": int,
     "mixing_mode": str,
 }
 
@@ -188,8 +188,6 @@ def build_config(file_text: str | None = None, **overrides) -> SweepConfig:
         if key not in _FIELD_PARSERS:
             raise ConfigError(f"unknown config key {key!r}")
         merged[key] = value
-    if "p_grid" in merged:
-        merged["p_grid"] = tuple(float(p) for p in merged["p_grid"])
     return dataclasses.replace(SweepConfig(), **merged)
 
 

@@ -84,7 +84,13 @@ def setting_projectors(setting: str) -> np.ndarray:
 
 @dataclass
 class OutcomeCounts:
-    """Shot counts for one setting; components are non-negative integers."""
+    """Shot counts for one setting, stored as Python ints.
+
+    The one check of a count: each must be an int, float or NumPy
+    integer/floating (not a bool) holding a non-negative integer, and the
+    total at most MAX_SHOTS; anything else, a counts-file value included,
+    raises DomainError.
+    """
 
     n_pp: int
     n_pm: int
@@ -93,9 +99,12 @@ class OutcomeCounts:
 
     def __post_init__(self):
         for label, v in zip(OUTCOME_LABELS, self.as_tuple()):
+            if isinstance(v, bool) or not isinstance(v, (int, float, np.integer, np.floating)):
+                raise DomainError(f"count n_{label}={v!r} is not a number")
             # NaN fails 0 <= v; an int past float range still compares to inf
-            if isinstance(v, (bool, np.bool_)) or not 0 <= v < np.inf or int(v) != v:
+            if not 0 <= v < np.inf or int(v) != v:
                 raise DomainError(f"count n_{label}={v!r} is not a non-negative integer")
+        self.n_pp, self.n_pm, self.n_mp, self.n_mm = map(int, self.as_tuple())
         if self.n > MAX_SHOTS:
             raise DomainError(f"count total {self.n} exceeds 2**63 - 1 shots")
 
@@ -107,8 +116,7 @@ class OutcomeCounts:
 
     @property
     def n(self) -> int:
-        # Python ints: a sum of NumPy int64 counts would wrap past 2**63
-        return sum(map(int, self.as_tuple()))
+        return sum(self.as_tuple())
 
 
 def probabilities(rho: np.ndarray | states.CheckedState) -> np.ndarray:
@@ -182,24 +190,14 @@ def counts_record(counts: OutcomeCounts, setting: str, seed: int) -> dict:
     }
 
 
-def _record_count(record: dict, label: str) -> int:
-    value = record[f"n_{label}"]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise DomainError(f"count n_{label}={value!r} is not a number")
-    if not float(value).is_integer():
-        raise DomainError(f"count n_{label}={value!r} is not an integer")
-    return int(value)
-
-
 def counts_from_record(record: dict) -> tuple[OutcomeCounts, str]:
-    """Counts and setting label of a record; fractional or non-numeric counts
-    are rejected. The label is normalised, each basis stripped and
+    """Counts and setting label of a record, its counts checked by
+    OutcomeCounts. The label is normalised, each basis stripped and
     upper-cased, and must then be one of SETTINGS."""
     if not isinstance(record, dict):
         raise DomainError(f"counts record must be a JSON object, got {type(record).__name__}")
     try:
-        counts = OutcomeCounts(*(_record_count(record, label)
-                                 for label in OUTCOME_LABELS))
+        counts = OutcomeCounts(*(record[f"n_{label}"] for label in OUTCOME_LABELS))
     except KeyError as exc:
         raise DomainError(f"counts record missing key {exc}") from exc
     label = record.get("setting", DA_DA)

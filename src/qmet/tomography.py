@@ -211,11 +211,11 @@ def reconstruct_mle(dataset: TomoDataset) -> Reconstruction:
         """sum_x weights_x P_x"""
         return (weights @ _ROWS).reshape(4, 4)
 
-    def r_times(a: np.ndarray, probs: np.ndarray) -> np.ndarray:
-        return operator(counts / probs) @ a
-
-    def normalised(b: np.ndarray) -> np.ndarray:
-        return b / math.sqrt(np.vdot(b, b).real)
+    def step(a: np.ndarray, probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """F(a) = R a / ||R a||_F, with R read at a's probabilities, and F(a)'s."""
+        b = operator(counts / probs) @ a
+        b = b / math.sqrt(np.vdot(b, b).real)
+        return b, probabilities(b)
 
     # Likelihood is tracked relative to the start point as
     # sum n_x log(p_x / p_ref_x). Near the optimum the absolute
@@ -227,17 +227,13 @@ def reconstruct_mle(dataset: TomoDataset) -> Reconstruction:
     def ll(probs: np.ndarray) -> float:
         return float(counts @ np.log(probs / p_ref))
 
-    # the current factor's probabilities and, while the ascent goes on, its
-    # R a are carried across cycles
+    # the current factor's probabilities are carried across cycles
     p_cur, f_cur = p_ref, 0.0
-    ra = r_times(a, p_cur)
     converged = False
     iterations = 0
     for iterations in range(1, MAX_SWEEPS + 1):
-        a1 = normalised(ra)
-        p1 = probabilities(a1)
-        a2 = normalised(r_times(a1, p1))
-        p2 = probabilities(a2)
+        a1, p1 = step(a, p_cur)
+        a2, p2 = step(a1, p1)
         best, p_best, f_best = a2, p2, ll(p2)
         r = a1 - a
         v = a2 - a1 - r
@@ -245,22 +241,21 @@ def reconstruct_mle(dataset: TomoDataset) -> Reconstruction:
         norm_v = math.sqrt(np.vdot(v, v).real)
         if 0.0 < norm_v < norm_r:
             alpha = -norm_r / norm_v
-            x = normalised(a - 2.0 * alpha * r + alpha * alpha * v)
-            ax = normalised(r_times(x, probabilities(x)))
-            p_ax = probabilities(ax)
+            x = a - 2.0 * alpha * r + alpha * alpha * v
+            x = x / math.sqrt(np.vdot(x, x).real)
+            ax, p_ax = step(x, probabilities(x))
             f_ax = ll(p_ax)
             if f_ax > f_best:
                 best, p_best, f_best = ax, p_ax, f_ax
             del x, ax, p_ax
         # temporaries are dropped as soon as they are dead: a reconstruction's
         # live arrays set the peak memory of a tomography run
-        del a1, p1, a2, p2, r, v, ra
+        del a1, p1, a2, p2, r, v
         gain = f_best - f_cur
         if gain > 0.0:
             a, p_cur, f_cur = best, p_best, f_best
         del best, p_best
         if gain >= LL_TOL:
-            ra = r_times(a, p_cur)
             continue
         # stationary on the current rank, which at full rank is the maximum
         if a.shape[1] == 4:
@@ -283,7 +278,6 @@ def reconstruct_mle(dataset: TomoDataset) -> Reconstruction:
         del slack, top
         p_cur = probabilities(a)
         f_cur = ll(p_cur)
-        ra = r_times(a, p_cur)
     return Reconstruction(
         state=states.CheckedState.from_factor(a),
         log_likelihood=ll_ref + f_cur,

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import re
 import shlex
@@ -7,8 +9,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from qmet import cli, harness, states, tomography
+from qmet import cli, harness, measurement, states, tomography
 from qmet.streams import RandomStream
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -254,6 +257,8 @@ class TestEstimate:
         {"setting": 5, "n_pp": 1, "n_pm": 2, "n_mp": 3, "n_mm": 4},
         # a total beyond the 2**63 - 1 shots any draw can hold
         {"n_pp": 1e300, "n_pm": 5, "n_mp": 0, "n_mm": 0},
+        # an integer past float range, which float() cannot hold
+        {"n_pp": 10 ** 399, "n_pm": 1, "n_mp": 1, "n_mm": 1},
     ])
     def test_non_integer_counts_are_domain_error(self, capsys, tmp_path, record):
         path = tmp_path / "counts.json"
@@ -363,6 +368,26 @@ class TestSweep:
                          "--out-dir", str(blocker / "out")])
         assert code == 2
         assert "config error" in capsys.readouterr().err
+
+    # integers are base 10, as the --n-shots, --reps and --seed flags read them
+    @pytest.mark.parametrize("text, value", [
+        ("n_shots = 010\n", 10), ("n_shots = 1_000\n", 1000),
+        ("n_shots = \u0661\u0662\n", 12),
+    ])
+    def test_config_integers_are_base_10(self, capsys, tmp_path, text, value):
+        cfg_file = tmp_path / "ints.cfg"
+        cfg_file.write_text(text, encoding="utf-8")
+        code, out = run_main(capsys, ["sweep", "--config", str(cfg_file), "--print-config"])
+        assert code == 0
+        assert out == harness.SweepConfig(n_shots=value).to_text()
+
+    @pytest.mark.parametrize("text", [
+        "master_seed = 0x10\n", "repetitions = 0b11\n", "master_seed = 0o7\n"])
+    def test_config_integer_prefixes_are_config_errors(self, capsys, tmp_path, text):
+        cfg_file = tmp_path / "ints.cfg"
+        cfg_file.write_text(text)
+        assert cli.main(["sweep", "--config", str(cfg_file), "--print-config"]) == 2
+        assert capsys.readouterr().err.startswith("config error:")
 
     def test_removed_variance_reps_key_is_config_error(self, capsys, tmp_path):
         cfg_file = tmp_path / "old.cfg"
@@ -481,3 +506,59 @@ class TestSubprocessSurface:
              "--variant", "optimal", "--p", "0.5", "--n", "10"],
             capture_output=True, text=True)
         assert proc.returncode == 2  # argparse rejects the unknown choice
+
+
+# --- the exit-code contract on generated inputs ----------------------------------
+
+def _main_quietly(argv):
+    """cli.main's exit code, and its stderr, with stdout dropped."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def scratch_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("generated") / "input"
+
+
+_count_values = st.one_of(
+    st.integers(), st.floats(), st.text(max_size=4), st.none(), st.booleans(),
+    st.lists(st.integers(), max_size=2))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(record=st.fixed_dictionaries(
+    {f"n_{label}": _count_values for label in measurement.OUTCOME_LABELS}))
+@example(record={"n_pp": 10 ** 399, "n_pm": 1, "n_mp": 1, "n_mm": 1})
+def test_any_counts_record_exits_0_or_3(scratch_file, record):
+    scratch_file.write_text(json.dumps(record))
+    code, err = _main_quietly(["estimate", "--kind", "negativity", "--variant",
+                               "optimal", "--counts", str(scratch_file)])
+    assert code in (0, 3), err
+    assert (code == 3) == err.startswith("domain error:")
+
+
+_config_keys = st.sampled_from(
+    ["q", "p_grid", "n_shots", "repetitions", "master_seed", "mixing_mode",
+     "variance_reps", "seed"])
+_config_values = st.one_of(
+    st.integers().map(str), st.integers().map(hex), st.integers().map(oct),
+    st.integers(min_value=0).map("{:_}".format),
+    # Arabic-Indic and fullwidth digits, which int() and float() also read
+    st.text(alphabet="0123456789\u0660\u0665\u0669\uff11\uff19._-", max_size=6),
+    st.floats().map(repr), st.just(""),
+    st.sampled_from(harness.MIXING_MODES + ("Bogus",)),
+    st.text(alphabet=st.characters(blacklist_categories=("Cs",)), max_size=6))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(lines=st.lists(st.tuples(_config_keys, _config_values), max_size=7))
+@example(lines=[("master_seed", "0x10")])
+def test_any_config_text_exits_0_or_2(scratch_file, lines):
+    scratch_file.write_text("".join(f"{key} = {value}\n" for key, value in lines),
+                            encoding="utf-8")
+    code, err = _main_quietly(["sweep", "--config", str(scratch_file), "--print-config"])
+    assert code in (0, 2), err
+    assert (code == 2) == err.startswith("config error:")

@@ -102,10 +102,26 @@ class TestConfig:
         dict(n_shots=True),  # bools would print as True in the CSV
         dict(master_seed=True),
         dict(repetitions=2.5),
+        dict(master_seed=1.0),
+        # not numbers
+        dict(q="a"),
+        dict(q=True),
+        dict(p_grid=("a",)),
+        dict(p_grid=["a"]),
+        dict(p_grid=(0.5, None)),
+        dict(n_shots="100"),
+        dict(q=float("nan")),
     ])
     def test_validate_rejects(self, kw):
         with pytest.raises(ConfigError):
             harness.build_config(**kw)
+
+    def test_numpy_integers_are_accepted_and_stored_as_ints(self):
+        cfg = harness.SweepConfig(n_shots=np.int64(500), repetitions=np.int32(3),
+                                  master_seed=np.int64(-7))
+        assert (cfg.n_shots, cfg.repetitions, cfg.master_seed) == (500, 3, -7)
+        assert all(type(v) is int for v in (cfg.n_shots, cfg.repetitions, cfg.master_seed))
+        assert cfg == harness.build_config(n_shots=500, repetitions=3, master_seed=-7)
 
     def test_file_then_override_precedence(self):
         text = "q = 0.3\nn_shots = 777\n"

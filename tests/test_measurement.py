@@ -194,10 +194,18 @@ def test_outcome_counts_validation():
     float("nan"), np.nan, float("inf"), -np.inf, True, np.True_,
     # an integer past float range: its total exceeds the shot limit
     10 ** 400,
+    # not numbers
+    "5", None, 1j, [1],
 ])
 def test_outcome_counts_reject_non_finite_and_bool_counts(bad):
     with pytest.raises(DomainError):
         ms.OutcomeCounts(1, bad, 1, 1)
+
+
+def test_outcome_counts_are_stored_as_python_ints():
+    counts = ms.OutcomeCounts(np.int64(3), 2.0, np.float32(1.0), np.uint8(4))
+    assert counts.as_tuple() == (3, 2, 1, 4)
+    assert all(type(v) is int for v in counts.as_tuple())
 
 
 # --- mixing -------------------------------------------------------------------------
