@@ -36,7 +36,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import estimation, measurement, states, streams, tomography
-from .errors import ConfigError
+from .errors import ConfigError, shown
 
 DIRECT_STATE = "DirectState"
 POST_PROCESS_MIX = "PostProcessMix"
@@ -76,7 +76,7 @@ def _number(name: str, value, kind: type, low, high, span: str):
     types = (int, np.integer) if kind is int else (int, float, np.integer, np.floating)
     if isinstance(value, bool) or not isinstance(value, types) or not low <= value <= high:
         noun = "an integer" if kind is int else "a number"
-        raise ConfigError(f"{name} must be {noun} in {span}, got {value!r}")
+        raise ConfigError(f"{name} must be {noun} in {span}, got {shown(value)}")
     return kind(value)
 
 
@@ -99,20 +99,25 @@ class SweepConfig:
     mixing_mode: str = DIRECT_STATE
 
     def __post_init__(self):
-        if len(self.p_grid) == 0:
-            raise ConfigError("p_grid is empty")
+        # a string iterates over its characters; a number does not iterate
+        try:
+            grid = () if isinstance(self.p_grid, (str, bytes)) else tuple(self.p_grid)
+        except TypeError:
+            grid = ()
+        if len(grid) == 0:
+            raise ConfigError(f"p_grid must be a non-empty sequence of numbers, "
+                              f"got {shown(self.p_grid)}")
         # a standard deviation needs two repetitions, and the run indices
         # (point*M + rep)*8 + slot must stay below TOMO_FLAG, the first
         # tomography stream
-        max_reps = TOMO_FLAG // (8 * len(self.p_grid))
+        max_reps = TOMO_FLAG // (8 * len(grid))
         checked = {
             "q": _number("q", self.q, float, 0, 1, "[0, 1]"),
-            "p_grid": tuple(_number("grid value", p, float, 0, 1, "[0, 1]")
-                            for p in self.p_grid),
+            "p_grid": tuple(_number("grid value", p, float, 0, 1, "[0, 1]") for p in grid),
             "n_shots": _number("n_shots", self.n_shots, int, 1, streams.MAX_SHOTS,
                                "[1, 2**63 - 1]"),
             "repetitions": _number("repetitions", self.repetitions, int, 2, max_reps,
-                                   f"[2, {max_reps}] for {len(self.p_grid)} grid points"),
+                                   f"[2, {max_reps}] for {len(grid)} grid points"),
             "master_seed": check_seed(self.master_seed),
         }
         for name, value in checked.items():

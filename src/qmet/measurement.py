@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matcore, states
-from .errors import DomainError
+from .errors import DomainError, shown
 from .streams import MAX_SHOTS, RandomStream
 
 HV = "HV"
@@ -66,10 +66,14 @@ _BASIS_KETS = np.array([basis_kets(b) for b in BASES])  # (basis, sign, 2)
 # (basis, sign, 2, 2): the single-qubit projectors (I +- sigma) / 2
 QUBIT_PROJECTORS = _outer(_BASIS_KETS)
 
-# (9, 4, 4, 4): the four joint projectors of each setting, rows in SETTINGS
-# order, outcomes (++, +-, -+, --); built once and shared read-only
-PROJECTORS = _outer(np.einsum("asi,btj->abstij", _BASIS_KETS, _BASIS_KETS)
-                    .reshape(9, 4, 4))
+# (9, 4, 4): the ket of each joint outcome, rows in SETTINGS order, outcomes
+# (++, +-, -+, --); read-only
+PROJECTOR_KETS = np.einsum("asi,btj->abstij", _BASIS_KETS, _BASIS_KETS).reshape(9, 4, 4)
+PROJECTOR_KETS.setflags(write=False)
+
+# (9, 4, 4, 4): the four joint projectors of each setting, |k><k| of
+# PROJECTOR_KETS; built once and shared read-only
+PROJECTORS = _outer(PROJECTOR_KETS)
 
 _SETTING_PROJECTORS = tuple(PROJECTORS)
 
@@ -100,13 +104,13 @@ class OutcomeCounts:
     def __post_init__(self):
         for label, v in zip(OUTCOME_LABELS, self.as_tuple()):
             if isinstance(v, bool) or not isinstance(v, (int, float, np.integer, np.floating)):
-                raise DomainError(f"count n_{label}={v!r} is not a number")
+                raise DomainError(f"count n_{label}={shown(v)} is not a number")
             # NaN fails 0 <= v; an int past float range still compares to inf
             if not 0 <= v < np.inf or int(v) != v:
-                raise DomainError(f"count n_{label}={v!r} is not a non-negative integer")
+                raise DomainError(f"count n_{label}={shown(v)} is not a non-negative integer")
         self.n_pp, self.n_pm, self.n_mp, self.n_mm = map(int, self.as_tuple())
         if self.n > MAX_SHOTS:
-            raise DomainError(f"count total {self.n} exceeds 2**63 - 1 shots")
+            raise DomainError(f"count total {shown(self.n)} exceeds 2**63 - 1 shots")
 
     def as_tuple(self) -> tuple[int, int, int, int]:
         return (self.n_pp, self.n_pm, self.n_mp, self.n_mm)

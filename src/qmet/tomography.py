@@ -10,16 +10,16 @@ reconstructors are provided:
   D_x = (P_a - I/3) (x) (P_b - I/3) of the projectors. Exact on exact data
   but not guaranteed PSD; its physical state is the clipped, renormalised
   spectrum (project_physical).
-* maximum likelihood: the multiplicative R rho R fixed-point iteration run on
-  a square-root factor a of the state (rho = a a^dag), accelerated by squared
-  extrapolation (SQUAREM). The factor has the estimate's own rank: it starts
-  from the linear-inversion eigenvectors above that estimate's noise floor
-  (the magnitude of its most negative eigenvalue), and a stop below full
-  rank is accepted only under the KKT condition R / N <= I, certified by a
-  Cholesky factorisation; otherwise the top eigenvector of R joins the
-  factor and the ascent goes on. Every iterate is a congruence a a^dag, so
-  PSD and unit trace hold at every step, and a cycle moves only uphill. One
-  reported iteration is one SQUAREM cycle.
+* maximum likelihood: damped Newton (Levenberg-Marquardt) ascent on a
+  square-root factor a of the state (rho = a a^dag). The factor has the
+  estimate's own rank: it starts from the linear-inversion eigenvectors above
+  that estimate's noise floor (the magnitude of its most negative
+  eigenvalue). Every stop, at any rank, must pass the KKT condition
+  R / N <= I, certified by a Cholesky factorisation; below full rank a
+  failed certificate adds the top eigenvector of R to the factor, and the
+  ascent goes on. Every iterate is a congruence a a^dag, so PSD and unit
+  trace hold at every step, and a step is taken only uphill. One reported
+  iteration is one damped Newton system solved.
 
 family_mle fits the family's (p, q) to the counts by maximum likelihood, in
 closed form but for a 1-D root on the arc p = 1, with no eigensolve.
@@ -28,6 +28,8 @@ Eigensolve budget per state (np.linalg.eigh / eigvalsh calls):
 simulate_tomography 1 (validating rho), reconstruct_mle 1 (the start) plus
 1 per rank growth, reconstruct_linear 1, tomo_report 4, so a
 simulate -> MLE -> report pass makes 6 when the MLE does not grow its rank.
+The Cholesky factorisations and linear solves of every MLE iteration are
+not eigensolves.
 A reference state checked once with states.check_state and passed to both
 simulate_tomography and tomo_report saves one of them. Each reconstruction
 carries its physical state as a states.CheckedState, which the report reads
@@ -49,7 +51,9 @@ PROB_FLOOR = 1e-12
 LL_TOL = 1e-10
 KKT_TOL = 1e-6
 GROWTH_WEIGHT = 1e-3
-MAX_SWEEPS = 5000
+DAMPING_START = 1e-3
+DAMPING_MIN = 1e-10
+MAX_STEPS = 500
 
 
 @dataclass
@@ -159,128 +163,176 @@ def reconstruct_linear(dataset: TomoDataset) -> Reconstruction:
 
 # --- MLE ---------------------------------------------------------------------
 
+# (36, 4) kets phi_x of the projectors, P_x = |phi_x><phi_x|: _BRAS @ a holds
+# the amplitudes <phi_x|a_k> of a factor's columns, and _KET_ROWS, in single
+# precision, the kets laid out for the batched outer products c_x phi_x^T of
+# the Jacobian
+_KETS = measurement.PROJECTOR_KETS.reshape(36, 4)
+_BRAS = _KETS.conj()
+_BRAS.setflags(write=False)
+_KET_ROWS = _KETS[:, None, :].astype(np.complex64)
+_KET_ROWS.setflags(write=False)
+
+
+def _real_forms(m: np.ndarray) -> np.ndarray:
+    """(..., 8, 8) real forms of (..., 4, 4) complex matrices M: the matrix
+    of v -> M v on the real view (Re v_0, Im v_0, ..., Re v_3, Im v_3)."""
+    re = np.einsum("...ij,st->...isjt", m.real, np.eye(2))
+    im = np.einsum("...ij,st->...isjt", m.imag, [[0.0, -1.0], [1.0, 0.0]])
+    return (re + im).reshape(m.shape[:-2] + (8, 8))
+
+
+# (36, 64): row x is the real form of P_x, so d @ _REAL_FORMS is the real form
+# of sum_x d_x P_x
+_REAL_FORMS = _real_forms(measurement.PROJECTORS.reshape(36, 4, 4)).reshape(36, 64)
+_REAL_FORMS.setflags(write=False)
+
+
+def _columns(theta: np.ndarray) -> np.ndarray:
+    """(r, 4) view b = a^T of the factor a whose real vector is theta: row k
+    of b is column k of a."""
+    return theta.view(complex).reshape(-1, 4)
+
+
+def _amplitudes(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(36, r) amplitudes c_x = <phi_x|a> of the factor with real vector
+    theta, and the probabilities ||c_x||^2, floored at PROB_FLOOR."""
+    c = _BRAS @ _columns(theta).T
+    cv = c.view(float)[:, None, :]
+    return c, np.maximum((cv @ cv.transpose(0, 2, 1)).ravel(), PROB_FLOOR)
+
+
 def reconstruct_mle(dataset: TomoDataset) -> Reconstruction:
-    """Maximum-likelihood state by SQUAREM-accelerated R rho R ascent on a
-    factor of the estimate's own rank.
+    """Maximum-likelihood state by damped Newton ascent on a factor of the
+    estimate's own rank.
 
     The state is carried as a 4 x r factor a with rho = a a^dag and
-    Tr(a a^dag) = 1. With R = sum_x (n_x / p_x) P_x, the map
-    F(a) = R a / ||R a||_F is the R rho R / Tr(...) fixed-point update, whose
-    fixed points are the stationary points of the multinomial log-likelihood
-    over states of rank at most r. The start is the linear-inversion
-    estimate's eigenvectors whose eigenvalues exceed the magnitude of its most
-    negative eigenvalue, its own noise floor, scaled to unit trace: r is read
-    from the data.
+    Tr(a a^dag) = 1. The start is the linear-inversion estimate's
+    eigenvectors whose eigenvalues exceed the magnitude of its most negative
+    eigenvalue, its own noise floor, scaled to unit trace: r is read from the
+    data.
 
-    One iteration is one SQUAREM cycle (Varadhan and Roland, Scand. J. Stat.
-    35, 335 (2008)): a1 = F(a), a2 = F(a1), r = a1 - a, v = a2 - a1 - r and
-    alpha = -||r|| / ||v||. When alpha < -1 the extrapolated factor
-    x = a - 2 alpha r + alpha^2 v is normalised and F(x) replaces a2 if its
-    likelihood is higher. Every candidate is a congruence x x^dag, so PSD
-    and unit trace hold by construction. The cycle moves to the better
-    candidate if it is uphill and otherwise stays, which gains nothing.
+    One iteration solves one damped Newton (Levenberg-Marquardt) system on
+    the real vector theta of a's entries, column by column. Its model is the
+    second-order expansion of
+    f(a) = sum_x n_x log <phi_x|a a^dag|phi_x> - N Tr(a a^dag). f + N is the
+    normalised log-likelihood at unit trace and below it elsewhere, so a step
+    uphill in f is uphill in the likelihood, and the two share their
+    stationary points, where R a = N a with R = sum_x (n_x / p_x) P_x
+    (Rehacek et al., PRA 75, 042108 (2007)).
+    -H / 2, half the negative Hessian of f, is the Gram matrix of the
+    Jacobian rows sqrt(2 n_x) / p_x (c_x (x) phi_x), with c_x = <phi_x|a>,
+    less the real form of (R - N I) (x) I_r. The Gram matrix is formed in
+    single precision, which halves the largest arrays of a reconstruction:
+    it only shapes the step, whose gain is checked in double precision. The
+    damped matrix -H / 2 + damping N I must pass a Cholesky factorisation,
+    which keeps the model concave; each failure raises the damping tenfold.
+    The step is taken, with the new factor scaled to unit trace, only if the
+    normalised log-likelihood rises, and the damping then falls tenfold, down
+    to DAMPING_MIN; a rejected step raises it tenfold. Every candidate is a
+    congruence a a^dag, so PSD and unit trace hold by construction.
 
-    A cycle that gains less than LL_TOL ends the ascent on the current rank.
-    At full rank that is convergence. Below it, the state is the maximum
-    only if it meets the KKT condition R / N <= I (Rehacek et al., PRA 75,
-    042108 (2007)); lambda_max(R / N) <= 1 + KKT_TOL is certified by a
-    Cholesky factorisation, with no eigensolve. If the certificate fails,
-    the top eigenvector of R, the steepest uphill direction off the current
-    support, joins the factor as a new column of weight GROWTH_WEIGHT and
-    the ascent goes on. So a reconstruction makes one eigensolve (the start)
-    plus one per rank growth. Flagged as not converged after MAX_SWEEPS
-    cycles. ``iterations`` counts cycles, each of two or three evaluations
-    of F. The state is returned as the final factor a, PSD with unit trace
-    by construction.
+    One stop rule: once the model predicts a gain below LL_TOL, the state is
+    the maximum only if it meets the KKT condition R / N <= I, which bounds
+    the likelihood gap by N (lambda_max(R / N) - 1) (Glancy, Knill and
+    Girard, NJP 14, 095017 (2012)). lambda_max(R / N) <= 1 + KKT_TOL is
+    certified by a Cholesky factorisation, with no eigensolve, at every rank.
+    If the certificate fails below full rank, the top eigenvector of R, the
+    steepest uphill direction off the current support, joins the factor as a
+    new column of weight GROWTH_WEIGHT; at full rank the damping resets.
+    Either way the ascent goes on. So a reconstruction makes one eigensolve
+    (the start) plus one per rank growth. Flagged as not converged after
+    MAX_STEPS iterations. The state is returned as the final factor a.
     """
     counts = dataset.counts.ravel()
-    n_total = counts.sum()
+    n_total = float(counts.sum())
 
     # the spectrum sums to 1, so its top eigenvalue is at least 1/4 > 0
     values, vectors = matcore.hermitian_eig(_linear_inversion(dataset))
     rank = max(1, int(np.count_nonzero(values > -values[0])))
     top = values[4 - rank:]
-    a = vectors[:, 4 - rank:] * np.sqrt(top / top.sum())
+    theta = (vectors[:, 4 - rank:] * np.sqrt(top / top.sum())).T.copy().view(float).ravel()
     del values, vectors, top
 
-    def probabilities(a: np.ndarray) -> np.ndarray:
-        # (a a^dag)^T = a* a^T
-        return np.maximum((_ROWS @ (a.conj() @ a.T).ravel()).real, PROB_FLOOR)
-
-    def operator(weights: np.ndarray) -> np.ndarray:
-        """sum_x weights_x P_x"""
-        return (weights @ _ROWS).reshape(4, 4)
-
-    def step(a: np.ndarray, probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """F(a) = R a / ||R a||_F, with R read at a's probabilities, and F(a)'s."""
-        b = operator(counts / probs) @ a
-        b = b / math.sqrt(np.vdot(b, b).real)
-        return b, probabilities(b)
-
-    # Likelihood is tracked relative to the start point as
-    # sum n_x log(p_x / p_ref_x). Near the optimum the absolute
-    # log-likelihood is ~1e6, where one float ulp exceeds the 1e-10
-    # convergence tolerance; the relative form is O(1e2) and resolves it.
-    p_ref = probabilities(a)
-    ll_ref = math.fsum(counts * np.log(p_ref))
-
-    def ll(probs: np.ndarray) -> float:
-        return float(counts @ np.log(probs / p_ref))
-
-    # the current factor's probabilities are carried across cycles
-    p_cur, f_cur = p_ref, 0.0
+    # the current factor's amplitudes and probabilities are carried across
+    # iterations, and its log-likelihood as the gain since the start
+    c, p_cur = _amplitudes(theta)
+    ll_start = math.fsum(counts * np.log(p_cur))
+    f_cur = 0.0
+    damping = DAMPING_START
     converged = False
     iterations = 0
-    for iterations in range(1, MAX_SWEEPS + 1):
-        a1, p1 = step(a, p_cur)
-        a2, p2 = step(a1, p1)
-        best, p_best, f_best = a2, p2, ll(p2)
-        r = a1 - a
-        v = a2 - a1 - r
-        norm_r = math.sqrt(np.vdot(r, r).real)
-        norm_v = math.sqrt(np.vdot(v, v).real)
-        if 0.0 < norm_v < norm_r:
-            alpha = -norm_r / norm_v
-            x = a - 2.0 * alpha * r + alpha * alpha * v
-            x = x / math.sqrt(np.vdot(x, x).real)
-            ax, p_ax = step(x, probabilities(x))
-            f_ax = ll(p_ax)
-            if f_ax > f_best:
-                best, p_best, f_best = ax, p_ax, f_ax
-            del x, ax, p_ax
-        # temporaries are dropped as soon as they are dead: a reconstruction's
-        # live arrays set the peak memory of a tomography run
-        del a1, p1, a2, p2, r, v
-        gain = f_best - f_cur
-        if gain > 0.0:
-            a, p_cur, f_cur = best, p_best, f_best
-        del best, p_best
-        if gain >= LL_TOL:
+    for iterations in range(1, MAX_STEPS + 1):
+        m = theta.size  # 8 r real parameters
+        # The Jacobian and the Hessian are the largest arrays of a
+        # reconstruction, and the live arrays while they coexist set the
+        # peak memory of a tomography run: every array is dropped as soon as
+        # it is dead, and rows are scaled by batched products, which
+        # allocate no broadcast buffer.
+        jac = (np.sqrt(2.0 * counts) / p_cur)[:, None, None] @ c[:, None, :]
+        del c
+        jac = jac.astype(np.complex64).transpose(0, 2, 1) @ _KET_ROWS
+        jac = jac.view(np.float32).reshape(36, m)
+        hess = np.dot(jac.T, jac)
+        del jac
+        hess = hess.astype(float)
+        # sum_x d_x P_x = R - N I, as the 36 projectors sum to 9 I
+        real_form = ((counts / p_cur - n_total / 9.0) @ _REAL_FORMS).reshape(8, 8)
+        grad = theta.reshape(-1, 8) @ real_form
+        for k in range(0, m, 8):
+            hess[k:k + 8, k:k + 8] -= real_form
+        del real_form
+        hess.reshape(-1)[::m + 1] += damping * n_total
+        while True:
+            try:
+                np.linalg.cholesky(hess)
+                break
+            except np.linalg.LinAlgError:
+                hess.reshape(-1)[::m + 1] += 9.0 * damping * n_total
+                damping *= 10.0
+        step = np.linalg.solve(hess, grad.ravel())
+        del hess
+        predicted = float(np.vdot(grad, step))
+        del grad
+        if predicted >= LL_TOL:
+            step += theta
+            step /= math.sqrt(step @ step)
+            c, p_new = _amplitudes(step)
+            # Near the optimum the absolute log-likelihood is ~1e6, where one
+            # float ulp exceeds the 1e-10 convergence tolerance; the ratio
+            # form is O(1e2) at most and resolves it.
+            uphill = float(counts @ np.log(p_new / p_cur))
+            if uphill > 0.0:
+                theta, p_cur, f_cur = step, p_new, f_cur + uphill
+                damping = max(0.1 * damping, DAMPING_MIN)
+            else:
+                c = _amplitudes(theta)[0]
+                damping *= 10.0
             continue
-        # stationary on the current rank, which at full rank is the maximum
-        if a.shape[1] == 4:
-            converged = True
-            break
         # the 36 projectors sum to 9 I, so (1 + KKT_TOL) I - R / N is one
         # more weighted sum of them
-        slack = operator((1.0 + KKT_TOL) / 9.0 - counts / (n_total * p_cur))
+        slack = (((1.0 + KKT_TOL) / 9.0 - counts / (n_total * p_cur)) @ _ROWS).reshape(4, 4)
         try:
             np.linalg.cholesky(slack)
-        except np.linalg.LinAlgError:
-            pass
-        else:
             converged = True
             break
-        # the lowest eigenvector of the slack is the top one of R
-        top = np.linalg.eigh(slack)[1][:, :1]
-        a = np.concatenate([math.sqrt(1.0 - GROWTH_WEIGHT) * a,
-                            math.sqrt(GROWTH_WEIGHT) * top], axis=1)
-        del slack, top
-        p_cur = probabilities(a)
-        f_cur = ll(p_cur)
+        except np.linalg.LinAlgError:
+            pass
+        damping = DAMPING_START
+        if m < 32:
+            # below full rank the lowest eigenvector of the slack, the top one
+            # of R, joins the factor
+            top = np.linalg.eigh(slack)[1][:, :1].T
+            theta = np.concatenate([math.sqrt(1.0 - GROWTH_WEIGHT) * _columns(theta),
+                                    math.sqrt(GROWTH_WEIGHT) * top]).view(float).ravel()
+            del top
+        del slack
+        c, p_new = _amplitudes(theta)
+        f_cur += float(counts @ np.log(p_new / p_cur))
+        p_cur = p_new
     return Reconstruction(
-        state=states.CheckedState.from_factor(a),
-        log_likelihood=ll_ref + f_cur,
+        state=states.CheckedState.from_factor(_columns(theta).T),
+        log_likelihood=ll_start + f_cur,
         iterations=iterations,
         converged=converged,
     )

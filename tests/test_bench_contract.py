@@ -81,7 +81,7 @@ COUNTED_RESULTS = [
 @pytest.mark.parametrize("span,call,expected", COUNTED_RESULTS,
                          ids=[span for span, _, _ in COUNTED_RESULTS])
 def test_traced_result_counters_resolve(span, call, expected, monkeypatch):
-    monkeypatch.setattr(tomography, "MAX_SWEEPS", 1)
+    monkeypatch.setattr(tomography, "MAX_STEPS", 1)
     assert span in TRACER.span_names()
     assert set(expected) <= set(TRACER.COUNTER_NAMES)
     counters = Counter()

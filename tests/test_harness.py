@@ -111,10 +111,26 @@ class TestConfig:
         dict(p_grid=(0.5, None)),
         dict(n_shots="100"),
         dict(q=float("nan")),
+        # a grid that is one number, or a string of its characters
+        dict(p_grid=0.5),
+        dict(p_grid="0.5"),
+        # integers too long for repr, which raises ValueError past 4300 digits
+        dict(n_shots=10 ** 5000),
+        dict(master_seed=-10 ** 5000),
+        dict(p_grid=(10 ** 5000,)),
     ])
     def test_validate_rejects(self, kw):
         with pytest.raises(ConfigError):
             harness.build_config(**kw)
+
+    @pytest.mark.parametrize("grid", [0.5, "0.5", b"0.5", None, np.float64(0.5)])
+    def test_a_grid_that_is_not_a_sequence_of_numbers_is_a_config_error(self, grid):
+        with pytest.raises(ConfigError, match="p_grid must be a non-empty sequence"):
+            harness.SweepConfig(p_grid=grid)
+
+    def test_an_integer_too_long_to_print_is_shown_by_its_length(self):
+        with pytest.raises(ConfigError, match="got an integer of about 5001 digits"):
+            harness.SweepConfig(n_shots=10 ** 5000)
 
     def test_numpy_integers_are_accepted_and_stored_as_ints(self):
         cfg = harness.SweepConfig(n_shots=np.int64(500), repetitions=np.int32(3),

@@ -202,6 +202,16 @@ def test_outcome_counts_reject_non_finite_and_bool_counts(bad):
         ms.OutcomeCounts(1, bad, 1, 1)
 
 
+@pytest.mark.parametrize("bad,shown", [
+    (10 ** 5000, "count total an integer of about 5001 digits exceeds"),
+    (-10 ** 5000, "count n_pm=a negative integer of about 5001 digits is not"),
+], ids=["10**5000", "-10**5000"])
+def test_outcome_counts_show_an_integer_too_long_to_print_by_its_length(bad, shown):
+    # repr of an int past 4300 digits raises ValueError, not the DomainError
+    with pytest.raises(DomainError, match=shown):
+        ms.OutcomeCounts(1, bad, 1, 1)
+
+
 def test_outcome_counts_are_stored_as_python_ints():
     counts = ms.OutcomeCounts(np.int64(3), 2.0, np.float32(1.0), np.uint8(4))
     assert counts.as_tuple() == (3, 2, 1, 4)
