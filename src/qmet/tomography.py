@@ -19,7 +19,8 @@ reconstructors are provided:
   failed certificate adds the top eigenvector of R to the factor, and the
   ascent goes on. Every iterate is a congruence a a^dag, so PSD and unit
   trace hold at every step, and a step is taken only uphill. One reported
-  iteration is one damped Newton system solved.
+  iteration is one damped Newton system solved; near the maximum a step may
+  reuse the last certified matrix (a chord step) instead of a new one.
 
 family_mle fits the family's (p, q) to the counts by maximum likelihood, in
 closed form but for a 1-D root on the arc p = 1, with no eigensolve.
@@ -53,6 +54,7 @@ KKT_TOL = 1e-6
 GROWTH_WEIGHT = 1e-3
 DAMPING_START = 1e-3
 DAMPING_MIN = 1e-10
+REUSE_GAIN = 1e-3
 MAX_STEPS = 500
 
 
@@ -202,6 +204,13 @@ def _amplitudes(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return c, np.maximum((cv @ cv.transpose(0, 2, 1)).ravel(), PROB_FLOOR)
 
 
+def _gradient_form(counts: np.ndarray, probs: np.ndarray, n_total: float) -> np.ndarray:
+    """(8, 8) real form of R - N I, with R = sum_x (n_x / p_x) P_x: theta
+    times it, row by row, is half the gradient of f. sum_x d_x P_x = R - N I,
+    as the 36 projectors sum to 9 I."""
+    return ((counts / probs - n_total / 9.0) @ _REAL_FORMS).reshape(8, 8)
+
+
 def reconstruct_mle(dataset: TomoDataset) -> Reconstruction:
     """Maximum-likelihood state by damped Newton ascent on a factor of the
     estimate's own rank.
@@ -231,6 +240,11 @@ def reconstruct_mle(dataset: TomoDataset) -> Reconstruction:
     normalised log-likelihood rises, and the damping then falls tenfold, down
     to DAMPING_MIN; a rejected step raises it tenfold. Every candidate is a
     congruence a a^dag, so PSD and unit trace hold by construction.
+    After a kept step whose predicted gain was below REUSE_GAIN, the next
+    iteration is a chord step: it solves the last damped matrix, already
+    certified, against the new gradient, and builds no Jacobian. Near the
+    maximum that step is nearly Newton's, and it is usually the last one,
+    whose predicted gain falls below LL_TOL.
 
     One stop rule: once the model predicts a gain below LL_TOL, the state is
     the maximum only if it meets the KKT condition R / N <= I, which bounds
@@ -247,8 +261,10 @@ def reconstruct_mle(dataset: TomoDataset) -> Reconstruction:
     counts = dataset.counts.ravel()
     n_total = float(counts.sum())
 
-    # the spectrum sums to 1, so its top eigenvalue is at least 1/4 > 0
-    values, vectors = matcore.hermitian_eig(_linear_inversion(dataset))
+    # the estimate is a real combination of the Hermitian duals D_x, so it
+    # needs no Hermitian check; its spectrum sums to 1, so its top eigenvalue
+    # is at least 1/4 > 0
+    values, vectors = np.linalg.eigh(_linear_inversion(dataset))
     rank = max(1, int(np.count_nonzero(values > -values[0])))
     top = values[4 - rank:]
     theta = (vectors[:, 4 - rank:] * np.sqrt(top / top.sum())).T.copy().view(float).ravel()
@@ -262,38 +278,47 @@ def reconstruct_mle(dataset: TomoDataset) -> Reconstruction:
     damping = DAMPING_START
     converged = False
     iterations = 0
+    reuse = None
     for iterations in range(1, MAX_STEPS + 1):
         m = theta.size  # 8 r real parameters
-        # The Jacobian and the Hessian are the largest arrays of a
-        # reconstruction, and the live arrays while they coexist set the
-        # peak memory of a tomography run: every array is dropped as soon as
-        # it is dead, and rows are scaled by batched products, which
-        # allocate no broadcast buffer.
-        jac = (np.sqrt(2.0 * counts) / p_cur)[:, None, None] @ c[:, None, :]
-        del c
-        jac = jac.astype(np.complex64).transpose(0, 2, 1) @ _KET_ROWS
-        jac = jac.view(np.float32).reshape(36, m)
-        hess = np.dot(jac.T, jac)
-        del jac
-        hess = hess.astype(float)
-        # sum_x d_x P_x = R - N I, as the 36 projectors sum to 9 I
-        real_form = ((counts / p_cur - n_total / 9.0) @ _REAL_FORMS).reshape(8, 8)
-        grad = theta.reshape(-1, 8) @ real_form
-        for k in range(0, m, 8):
-            hess[k:k + 8, k:k + 8] -= real_form
-        del real_form
-        hess.reshape(-1)[::m + 1] += damping * n_total
-        while True:
-            try:
-                np.linalg.cholesky(hess)
-                break
-            except np.linalg.LinAlgError:
-                hess.reshape(-1)[::m + 1] += 9.0 * damping * n_total
-                damping *= 10.0
+        fresh = reuse is None
+        if fresh:
+            # The Jacobian and the Hessian are the largest arrays of a
+            # reconstruction, and the live arrays while they coexist set the
+            # peak memory of a tomography run: every array is dropped as soon
+            # as it is dead, and rows are scaled by batched products, which
+            # allocate no broadcast buffer.
+            jac = (np.sqrt(2.0 * counts) / p_cur)[:, None, None] @ c[:, None, :]
+            del c
+            jac = jac.astype(np.complex64).transpose(0, 2, 1) @ _KET_ROWS
+            jac = jac.view(np.float32).reshape(36, m)
+            hess = np.dot(jac.T, jac)
+            del jac
+            hess = hess.astype(float)
+            real_form = _gradient_form(counts, p_cur, n_total)
+            grad = theta.reshape(-1, 8) @ real_form
+            for k in range(0, m, 8):
+                hess[k:k + 8, k:k + 8] -= real_form
+            del real_form
+            hess.reshape(-1)[::m + 1] += damping * n_total
+            while True:
+                try:
+                    np.linalg.cholesky(hess)
+                    break
+                except np.linalg.LinAlgError:
+                    hess.reshape(-1)[::m + 1] += 9.0 * damping * n_total
+                    damping *= 10.0
+        else:
+            # a chord step: the last model's certified matrix with the
+            # current gradient; with no Jacobian, the amplitudes go unused
+            hess = reuse
+            del c
+            grad = theta.reshape(-1, 8) @ _gradient_form(counts, p_cur, n_total)
         step = np.linalg.solve(hess, grad.ravel())
-        del hess
         predicted = float(np.vdot(grad, step))
         del grad
+        reuse = hess if fresh and LL_TOL <= predicted < REUSE_GAIN else None
+        del hess
         if predicted >= LL_TOL:
             step += theta
             step /= math.sqrt(step @ step)
@@ -306,6 +331,7 @@ def reconstruct_mle(dataset: TomoDataset) -> Reconstruction:
                 theta, p_cur, f_cur = step, p_new, f_cur + uphill
                 damping = max(0.1 * damping, DAMPING_MIN)
             else:
+                reuse = None
                 c = _amplitudes(theta)[0]
                 damping *= 10.0
             continue

@@ -48,7 +48,8 @@ def test_traced_random_stream_method_resolves(attr, span):
 
 
 # (span name, one call on a tiny input, the counters its result adds); each
-# input sets the flag its counter reads, and the test caps the MLE at one cycle
+# input sets the flag its counter reads, and the test caps the MLE at one
+# iteration
 COUNTED_RESULTS = [
     ("streams.random", lambda: RandomStream(1).random(7),
      {"streams.random.uniforms": 7}),

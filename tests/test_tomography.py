@@ -453,6 +453,33 @@ class TestNewtonSteps:
         assert kkt_excess(ds, rec.state.rho) <= tomography.KKT_TOL
         assert rec.log_likelihood >= crawl_ll - 1e-9
 
+    @pytest.mark.parametrize("ref", ["singlet", "dephased", "family"])
+    def test_chord_steps_reach_the_maximum_of_fresh_models(self, ref, monkeypatch):
+        rho = {"singlet": states.singlet(), "dephased": states.dephased_mixture(),
+               "family": states.family_state(0.6, 0.5)}[ref]
+        for index in range(5):
+            ds = tomography.simulate_tomography(rho, 10**4, RandomStream(1, index))
+            shapes = []
+            cholesky = np.linalg.cholesky
+
+            def certified(a):
+                factor = cholesky(a)
+                shapes.append(a.shape)
+                return factor
+
+            monkeypatch.setattr(np.linalg, "cholesky", certified)
+            chord = tomography.reconstruct_mle(ds)
+            monkeypatch.undo()
+            # a model's damped matrix is 8r x 8r, the KKT slack 4 x 4: some
+            # iteration solved a matrix certified before
+            models = sum(shape != (4, 4) for shape in shapes)
+            assert chord.converged and models < chord.iterations
+            monkeypatch.setattr(tomography, "REUSE_GAIN", 0.0)
+            fresh = tomography.reconstruct_mle(ds)
+            monkeypatch.undo()
+            assert fresh.converged
+            assert abs(chord.log_likelihood - fresh.log_likelihood) <= 1e-9
+
     def test_real_forms_act_on_real_views(self):
         rng = np.random.default_rng(3)
         m = rng.standard_normal((5, 4, 4)) + 1j * rng.standard_normal((5, 4, 4))
